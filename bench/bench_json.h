@@ -51,6 +51,9 @@ class BenchReporter {
       : name_(bench_name),
         config_(obs::Json::Object()),
         results_(obs::Json::Array()) {
+    // Line-buffered stdout: a stalled bench shows how far it got, even
+    // when its output goes to a pipe or a CI log.
+    std::setvbuf(stdout, nullptr, _IOLBF, 0);
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--json_out=", 11) == 0) {

@@ -105,17 +105,23 @@ int main() {
   // Per-KN cache effectiveness (ownership partitioning at work: each KN
   // caches only its own partition, so there is no redundancy).
   for (uint64_t id : cluster.ActiveKns()) {
-    auto stats = cluster.kn(id)->AggregateStats(false);
-    const uint64_t lookups =
-        stats.value_hits + stats.shortcut_hits + stats.misses;
+    std::atomic<uint64_t> reads{0}, writes{0}, value_hits{0}, hits{0},
+        lookups{0};
+    cluster.kn(id)->RunOnAllWorkers([&](kn::KnWorker* w) {
+      const kn::WorkerStats s = w->SnapshotStats(/*reset=*/false);
+      reads += s.reads;
+      writes += s.writes;
+      value_hits += s.value_hits;
+      hits += s.value_hits + s.shortcut_hits;
+      lookups += s.value_hits + s.shortcut_hits + s.misses;
+    });
     std::printf(
         "  KN %llu: reads=%llu writes=%llu hit=%.1f%% (values %.1f%%)\n",
         static_cast<unsigned long long>(id),
-        static_cast<unsigned long long>(stats.reads),
-        static_cast<unsigned long long>(stats.writes),
-        lookups ? 100.0 * (stats.value_hits + stats.shortcut_hits) / lookups
-                : 0.0,
-        lookups ? 100.0 * stats.value_hits / lookups : 0.0);
+        static_cast<unsigned long long>(reads.load()),
+        static_cast<unsigned long long>(writes.load()),
+        lookups ? 100.0 * hits.load() / lookups.load() : 0.0,
+        lookups ? 100.0 * value_hits.load() / lookups.load() : 0.0);
   }
 
   auto dpm_stats = cluster.dpm()->Stats();

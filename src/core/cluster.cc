@@ -1,11 +1,7 @@
 #include "core/cluster.h"
 
-#include "core/migration.h"
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,35 +10,11 @@ namespace dinomo {
 
 namespace {
 
-using cluster::RoutingTable;
-
 void SpinFor(double us) {
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::nanoseconds(static_cast<long>(us * 1000));
   while (std::chrono::steady_clock::now() < until) {
   }
-}
-
-const Status& GetStatus(const Status& s) { return s; }
-template <typename T>
-const Status& GetStatus(const Result<T>& r) {
-  return r.status();
-}
-
-// Admin-path RPC retry: replication changes are off the request path, so
-// they can wait out transient DPM rejections (injected or real) instead
-// of aborting a half-done ownership change. Bounded: ~6 ms worst case.
-template <typename Fn>
-auto RetryTransientRpc(Fn&& fn) -> decltype(fn()) {
-  Backoff backoff(BackoffOptions{50.0, 2'000.0, 2.0, 0.5}, /*seed=*/11);
-  auto result = fn();
-  for (int attempt = 1; attempt < 6; ++attempt) {
-    if (result.ok() || !IsTransient(GetStatus(result))) break;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(backoff.NextDelayUs()));
-    result = fn();
-  }
-  return result;
 }
 
 }  // namespace
@@ -387,51 +359,27 @@ bool Client::OpFuture::done() {
 // ----- Cluster -----
 
 Cluster::Cluster(const ClusterOptions& options)
-    : options_(options),
+    : options_(reconfig::ForVariant(options)),
+      pool_(std::make_unique<dpm::DpmPool>(dpm::DpmPoolOptions{
+          options_.dpm_nodes, options_.replication_factor, options_.dpm})),
       routing_(options.kn.num_workers),
-      policy_(options.policy) {
-  ClusterOptions& opt = options_;
-  if (opt.variant == SystemVariant::kDinomoN) {
-    opt.dpm.partitioned_metadata = true;
-    opt.kn.dinomo_n = true;
-  }
-  if (opt.variant == SystemVariant::kDinomoS) {
-    opt.kn.policy = kn::CachePolicyKind::kShortcutOnly;
-  }
-  dpm::DpmPoolOptions pool_opts;
-  pool_opts.nodes = opt.dpm_nodes;
-  pool_opts.replication_factor = opt.replication_factor;
-  pool_opts.dpm = opt.dpm;
-  pool_ = std::make_unique<dpm::DpmPool>(pool_opts);
-}
+      policy_(options.policy),
+      reconfig_(this, pool_.get(), &routing_, &policy_, options_.variant,
+                options_.kn.num_workers) {}
 
 Cluster::~Cluster() { Stop(); }
 
-kn::KnOptions Cluster::MakeKnOptions(uint64_t kn_id) const {
-  kn::KnOptions kno = options_.kn;
-  kno.kn_id = kn_id;
-  kno.fabric_node = static_cast<int>(kn_id % net::Fabric::kMaxNodes);
-  return kno;
-}
-
 Status Cluster::Start() {
   if (started_.exchange(true)) return Status::Ok();
+  epoch_ = std::chrono::steady_clock::now();
   if (!options_.faults.empty()) {
     injector_ = std::make_unique<net::FaultInjector>(options_.faults,
                                                      options_.dpm.metrics);
-    const auto epoch = std::chrono::steady_clock::now();
-    injector_->SetClock([epoch] {
-      return std::chrono::duration<double, std::micro>(
-                 std::chrono::steady_clock::now() - epoch)
-          .count();
-    });
+    injector_->SetClock([this] { return NowUs(); });
     // Real-thread runtime: injected delays cost wall-clock time, so the
     // paths under test experience them, not just the latency model.
     injector_->set_sleep_on_delay(true);
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
+    pool_->SetFaultInjector(injector_.get());
     fault_running_ = true;
     fault_thread_ = std::thread([this] { FaultEnactorLoop(); });
   }
@@ -446,20 +394,9 @@ Status Cluster::Start() {
     node->merge()->StartThreads(options_.dpm_merge_threads);
   }
 
-  // Hold admin_mu_ for the initial KN bring-up: next_kn_id_ is guarded by
-  // it, and an AddKn racing with a slow Start must not interleave.
-  MutexLock admin(admin_mu_);
   for (int i = 0; i < options_.initial_kns; ++i) {
-    const uint64_t id = next_kn_id_++;
-    auto node = std::make_unique<kn::KvsNode>(MakeKnOptions(id), pool_.get());
-    node->Start();
-    {
-      MutexLock lock(kns_mu_);
-      kns_[id] = std::move(node);
-    }
-    routing_.AddKn(id);
+    DINOMO_RETURN_IF_ERROR(AddKn().status());
   }
-  PushRoutingToAll();
 
   if (options_.start_mnode) {
     mnode_running_ = true;
@@ -497,10 +434,7 @@ void Cluster::Stop() {
       for (auto& [id, node] : kns_) leaked += node->in_flight();
     }
     injector_->NoteHungRequests(static_cast<uint64_t>(leaked));
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(nullptr);
-      pool_->node(i)->SetFaultInjector(nullptr);
-    }
+    pool_->SetFaultInjector(nullptr);
   }
 }
 
@@ -519,297 +453,95 @@ kn::KvsNode* Cluster::kn(uint64_t kn_id) {
   return it == kns_.end() ? nullptr : it->second.get();
 }
 
-void Cluster::PushRoutingToAll() {
-  auto table = routing_.Snapshot();
-  std::vector<kn::KvsNode*> nodes;
-  {
-    MutexLock lock(kns_mu_);
-    for (auto& [id, node] : kns_) {
-      if (!node->failed()) nodes.push_back(node.get());
-    }
-  }
-  for (auto* node : nodes) {
-    const uint64_t id = node->kn_id();
-    node->RunOnAllWorkers([table, id](kn::KnWorker* w) {
-      w->SetRouting(table);
-      // Empty exactly the partitions this KN no longer owns (§3.4:
-      // "the current owner empties its cache").
-      w->cache()->InvalidateIf([table, id](uint64_t key_hash) {
-        return !table->IsOwner(key_hash, id);
-      });
-      // Same hand-off rule for the index-metadata cache: a pointer for a
-      // range this KN no longer owns could otherwise resurface stale
-      // when the range comes back.
-      if (w->icache() != nullptr) {
-        w->icache()->InvalidateIf([table, id](uint64_t key_hash) {
-          return !table->IsOwner(key_hash, id);
-        });
-      }
-    });
-  }
+// ----- reconfig::Runtime -----
+
+void Cluster::RunOnWorkers(uint64_t kn_id,
+                           const std::function<void(kn::KnWorker*)>& fn) {
+  kn::KvsNode* node = kn(kn_id);
+  if (node != nullptr && !node->failed()) node->RunOnAllWorkers(fn);
 }
 
-Status Cluster::QuiesceKns(const std::vector<uint64_t>& kn_ids) {
+uint64_t Cluster::StartKn() {
+  const uint64_t id = next_kn_id_++;
+  kn::KnOptions kno = options_.kn;
+  kno.kn_id = id;
+  kno.fabric_node = static_cast<int>(id % net::Fabric::kMaxNodes);
+  auto node = std::make_unique<kn::KvsNode>(kno, pool_.get());
+  node->SetAvailable(false);
+  node->Start();
+  MutexLock lock(kns_mu_);
+  kns_[id] = std::move(node);
+  return id;
+}
+
+void Cluster::RetireKn(uint64_t kn_id) {
+  if (kn::KvsNode* node = kn(kn_id)) node->Stop();
+  MutexLock lock(kns_mu_);
+  kns_.erase(kn_id);
+}
+
+// A failed node never serves again, whatever its availability flag says.
+void Cluster::Pause(const std::vector<uint64_t>& kn_ids) {
   for (uint64_t id : kn_ids) {
-    kn::KvsNode* node = kn(id);
-    if (node == nullptr || node->failed()) continue;
-    node->SetAvailable(false);
-    node->RunOnAllWorkers([](kn::KnWorker* w) {
-      Status st = w->DrainLog();
-      if (!st.ok()) {
-        DINOMO_LOG_STREAM(Warn) << "drain failed: " << st.ToString();
-      }
-    });
+    if (kn::KvsNode* node = kn(id)) node->SetAvailable(false);
   }
-  return Status::Ok();
 }
 
-void Cluster::ResumeKns(const std::vector<uint64_t>& kn_ids) {
+double Cluster::Resume(const std::vector<uint64_t>& kn_ids) {
   for (uint64_t id : kn_ids) {
-    kn::KvsNode* node = kn(id);
-    if (node != nullptr && !node->failed()) node->SetAvailable(true);
+    if (kn::KvsNode* node = kn(id)) node->SetAvailable(true);
   }
+  return NowUs();
 }
 
-Result<uint64_t> Cluster::MigrateData(uint64_t from_kn,
-                                      const RoutingTable& new_table) {
-  // DINOMO-N only, and that variant clamps the pool to one node.
-  auto stats = MigratePartitionData(pool_->node(0), from_kn, new_table);
-  if (!stats.ok()) return stats.status();
-  return stats.value().keys_moved;
+double Cluster::NowUs() const {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - epoch_)
+      .count();
 }
+
+void Cluster::WaitUs(double us) {
+  std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(us));
+}
+
+// ----- Reconfiguration: reconfig::Protocol under admin_mu_ -----
 
 Result<uint64_t> Cluster::AddKn() {
   MutexLock admin(admin_mu_);
-  const uint64_t id = next_kn_id_++;
-  auto node = std::make_unique<kn::KvsNode>(MakeKnOptions(id), pool_.get());
-  node->SetAvailable(false);
-  node->Start();
-  {
-    MutexLock lock(kns_mu_);
-    kns_[id] = std::move(node);
-  }
-
-  // Protocol steps 1-3: every KN that loses a range participates.
-  const std::vector<uint64_t> participants = ActiveKns();
-  std::vector<uint64_t> old_kns;
-  for (uint64_t p : participants) {
-    if (p != id) old_kns.push_back(p);
-  }
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(old_kns));
-
-  // Step 4: publish the new mapping.
-  routing_.AddKn(id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    for (uint64_t p : old_kns) {
-      auto migrated = MigrateData(p, *table);
-      if (!migrated.ok()) return migrated.status();
-    }
-  }
-
-  // Steps 5-7: push mappings, resume everyone, new KN goes live.
-  PushRoutingToAll();
-  ResumeKns(old_kns);
-  ResumeKns({id});
-  return id;
+  return reconfig_.AddKn();
 }
 
 Status Cluster::RemoveKn(uint64_t kn_id) {
   MutexLock admin(admin_mu_);
-  kn::KvsNode* node = kn(kn_id);
-  if (node == nullptr) return Status::NotFound("unknown KN");
-  if (ActiveKns().size() <= 1) {
-    return Status::InvalidArgument("cannot remove the last KN");
-  }
-
-  DINOMO_RETURN_IF_ERROR(QuiesceKns({kn_id}));
-  routing_.RemoveKn(kn_id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto migrated = MigrateData(kn_id, *table);
-    if (!migrated.ok()) return migrated.status();
-  }
-
-  PushRoutingToAll();
-  node->Stop();
-  {
-    MutexLock lock(kns_mu_);
-    kns_.erase(kn_id);
-  }
-  return Status::Ok();
+  return reconfig_.RemoveKn(kn_id);
 }
 
 Status Cluster::KillKn(uint64_t kn_id) {
   MutexLock admin(admin_mu_);
   kn::KvsNode* node = kn(kn_id);
   if (node == nullptr) return Status::NotFound("unknown KN");
-
-  // Fail-stop: DRAM contents (cache, un-flushed batches) are gone.
-  node->Fail();
-
-  // Failure handling (§3.5): merge the failed KN's pending log segments,
-  // then repartition ownership among the alive KNs.
-  for (int w = 0; w < options_.kn.num_workers; ++w) {
-    const uint64_t owner = (kn_id << 8) | w;
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      DINOMO_RETURN_IF_ERROR(pool_->node(n)->DrainOwner(owner));
-      pool_->node(n)->ReleaseOwnerSegments(owner);
-    }
-  }
-  routing_.RemoveKn(kn_id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto migrated = MigrateData(kn_id, *table);
-    if (!migrated.ok()) return migrated.status();
-  }
-
-  PushRoutingToAll();
-  {
-    MutexLock lock(kns_mu_);
-    kns_.erase(kn_id);
-  }
-  return Status::Ok();
+  node->Fail();  // fail-stop: DRAM contents are gone
+  return reconfig_.RecoverKn(kn_id);
 }
 
 Status Cluster::KillDpm(int node) {
   MutexLock admin(admin_mu_);
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Fail-stop + promotion: the pool marks the node dead, removes it from
-  // the ring (each range falls to its mirror), drains the survivors'
-  // merge queues and bumps the placement generation. From here every RPC
-  // stamped with the old generation bounces, and each KN worker runs its
-  // failover recovery at its next op.
+  const double failed_at = NowUs();
+  // Fail-stop + promotion: from here every RPC stamped with the old
+  // generation bounces, and each KN worker runs its failover recovery at
+  // its next op.
   DINOMO_RETURN_IF_ERROR(pool_->KillNode(node));
-
-  // Quiesce KNs: flush + drain every worker's log on the surviving nodes.
-  // DrainLog re-resolves placement first (the generation moved), so
-  // buffered entries re-bin to the promoted owners before the drain.
-  const std::vector<uint64_t> participants = ActiveKns();
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(participants));
-
-  // Shared (selectively replicated) keys are collapsed conservatively:
-  // their indirect slots lived in a single node's pool and their shared
-  // writes were primary-only, so a membership change invalidates the
-  // scheme wholesale. The M-node re-replicates hot keys afterwards.
-  auto table = routing_.Snapshot();
-  for (const auto& [key_hash, owners] : table->replicated) {
-    const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-    if (pl.primary >= 0 && pool_->alive(pl.primary)) {
-      Status st = RetryTransientRpc([&] {
-        return pool_->node(pl.primary)->RemoveIndirect(0, key_hash);
-      });
-      if (!st.ok() && !st.IsNotFound()) {
-        DINOMO_LOG_STREAM(Warn)
-            << "collapse of replicated key failed: " << st.ToString();
-      }
-    }
-    routing_.ClearReplication(key_hash);
-  }
-
-  // Restore the mirror count for every surviving primary's ranges while
-  // the cluster is quiescent. The repair is idempotent (keys whose mirror
-  // already holds the current value are skipped), so transient injected
-  // faults inside its RPCs are waited out like any admin-path RPC. If it
-  // still fails the KNs must come back regardless — a wedged quiesce
-  // would turn one dead DPM node into a whole-cluster outage.
-  auto repair = RetryTransientRpc([&] { return pool_->ReReplicate(); });
-  if (!repair.ok()) {
-    ResumeKns(participants);
-    return repair.status();
-  }
-
-  PushRoutingToAll();
-  ResumeKns(participants);
-  const double window_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  pool_->NoteRecoveryWindow(window_us);
-  DINOMO_LOG_STREAM(Info) << "dpm node " << node << " killed; mirror "
-                          << "promotion + re-replication ("
-                          << repair.value().entries_copied
-                          << " entries) took " << window_us << " us";
-  return Status::Ok();
+  return reconfig_.RecoverDpm(failed_at);
 }
 
 Status Cluster::ReplicateKeyHash(uint64_t key_hash, int replication) {
   MutexLock admin(admin_mu_);
-  if (options_.variant == SystemVariant::kDinomoN) {
-    return Status::NotSupported("DINOMO-N has no selective replication");
-  }
-  auto table = routing_.Snapshot();
-  const uint64_t primary = table->PrimaryOwner(key_hash);
-
-  // Build the owner set: primary plus the next distinct KNs.
-  std::vector<uint64_t> owners{primary};
-  for (uint64_t id : ActiveKns()) {
-    if (static_cast<int>(owners.size()) >= replication) break;
-    if (id != primary) owners.push_back(id);
-  }
-  if (owners.size() <= 1) return Status::Ok();  // nothing to share with
-
-  // The primary is the only node that may hold the value in cache: pause
-  // it, land its writes, install the indirect slot, then publish.
-  DINOMO_RETURN_IF_ERROR(QuiesceKns({primary}));
-  // The slot lives on the key's primary DPM node (shared writes and
-  // indirect reads resolve against that node's pool).
-  dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  auto slot = RetryTransientRpc([&] {
-    return home->InstallIndirect(
-        static_cast<int>(primary % net::Fabric::kMaxNodes), key_hash);
-  });
-  if (!slot.ok()) {
-    ResumeKns({primary});
-    return slot.status();
-  }
-  routing_.SetReplication(key_hash, owners);
-  PushRoutingToAll();
-  kn::KvsNode* node = kn(primary);
-  if (node != nullptr && !node->failed()) {
-    node->RunOnAllWorkers([key_hash](kn::KnWorker* w) {
-      w->cache()->Invalidate(key_hash);
-      if (w->icache() != nullptr) w->icache()->Invalidate(key_hash);
-    });
-  }
-  ResumeKns({primary});
-  return Status::Ok();
+  return reconfig_.ReplicateKey(key_hash, replication);
 }
 
 Status Cluster::DereplicateKeyHash(uint64_t key_hash) {
   MutexLock admin(admin_mu_);
-  auto table = routing_.Snapshot();
-  const std::vector<uint64_t> owners = table->OwnersOf(key_hash);
-  if (owners.size() <= 1) return Status::Ok();
-
-  // Stop all owners from racing the write-back, drop their cached
-  // shortcuts, collapse the slot, then publish the single-owner mapping.
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(owners));
-  for (uint64_t id : owners) {
-    kn::KvsNode* node = kn(id);
-    if (node != nullptr && !node->failed()) {
-      node->RunOnAllWorkers([key_hash](kn::KnWorker* w) {
-        w->cache()->Invalidate(key_hash);
-        if (w->icache() != nullptr) w->icache()->Invalidate(key_hash);
-      });
-    }
-  }
-  dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  Status st =
-      RetryTransientRpc([&] { return home->RemoveIndirect(0, key_hash); });
-  if (!st.ok() && !st.IsNotFound()) {
-    ResumeKns(owners);
-    return st;
-  }
-  routing_.ClearReplication(key_hash);
-  PushRoutingToAll();
-  ResumeKns(owners);
-  return Status::Ok();
+  return reconfig_.DereplicateKey(key_hash);
 }
 
 void Cluster::RecordLatency(double us) {
@@ -818,78 +550,20 @@ void Cluster::RecordLatency(double us) {
 }
 
 mnode::ClusterMetrics Cluster::CollectMetrics(double epoch_seconds) {
-  mnode::ClusterMetrics metrics;
-  {
-    MutexLock lock(latency_mu_);
-    metrics.avg_latency_us = latency_hist_.Average();
-    metrics.p99_latency_us = latency_hist_.P99();
-    latency_hist_.Reset();
-  }
-  const double epoch_us = epoch_seconds * 1e6;
-  std::map<uint64_t, uint64_t> key_counts;
-  for (uint64_t id : ActiveKns()) {
-    kn::KvsNode* node = kn(id);
-    if (node == nullptr) continue;
-    kn::WorkerStats stats = node->AggregateStats(/*reset=*/true);
-    metrics.occupancy[id] =
-        epoch_us > 0 ? std::min(1.0, stats.busy_us / epoch_us) : 0.0;
-    for (const auto& [key, count] : stats.hot_keys) {
-      key_counts[key] += count;
-    }
-    metrics.key_freq_mean += stats.key_freq_mean;
-    metrics.key_freq_stddev += stats.key_freq_stddev;
-  }
-  const size_t n = metrics.occupancy.size();
-  if (n > 0) {
-    metrics.key_freq_mean /= n;
-    metrics.key_freq_stddev /= n;
-  }
-  for (const auto& [key, count] : key_counts) {
-    metrics.hot_keys.emplace_back(key, count);
-  }
-  std::sort(metrics.hot_keys.begin(), metrics.hot_keys.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (metrics.hot_keys.size() > 32) metrics.hot_keys.resize(32);
-
-  auto table = routing_.Snapshot();
-  for (const auto& [key, owners] : table->replicated) {
-    metrics.replicated_keys[key] = static_cast<int>(owners.size());
-  }
+  mnode::ClusterMetrics metrics = reconfig_.CollectMetrics(
+      epoch_seconds * 1e6, [](uint64_t, double busy_us) { return busy_us; });
+  MutexLock lock(latency_mu_);
+  metrics.avg_latency_us = latency_hist_.Average();
+  metrics.p99_latency_us = latency_hist_.P99();
+  latency_hist_.Reset();
   return metrics;
 }
 
 mnode::PolicyAction Cluster::RunPolicyOnce(double now_s, double epoch_s) {
-  mnode::ClusterMetrics metrics = CollectMetrics(epoch_s);
-  mnode::PolicyAction action = policy_.Evaluate(metrics, now_s);
-  switch (action.kind) {
-    case mnode::PolicyAction::Kind::kAddKn: {
-      auto r = AddKn();
-      if (r.ok()) policy_.NoteMembershipChange(now_s);
-      break;
-    }
-    case mnode::PolicyAction::Kind::kRemoveKn: {
-      if (RemoveKn(action.kn_id).ok()) policy_.NoteMembershipChange(now_s);
-      break;
-    }
-    case mnode::PolicyAction::Kind::kReplicateKey: {
-      Status st =
-          ReplicateKeyHash(action.key_hash, action.replication_factor);
-      if (!st.ok()) {
-        DINOMO_LOG_STREAM(Warn) << "replicate failed: " << st.ToString();
-      }
-      break;
-    }
-    case mnode::PolicyAction::Kind::kDereplicateKey: {
-      Status st = DereplicateKeyHash(action.key_hash);
-      if (!st.ok()) {
-        DINOMO_LOG_STREAM(Warn) << "dereplicate failed: " << st.ToString();
-      }
-      break;
-    }
-    case mnode::PolicyAction::Kind::kNone:
-      break;
-  }
-  return action;
+  // Held across the collection too: no KN may retire while its workers
+  // report their stats.
+  MutexLock admin(admin_mu_);
+  return reconfig_.RunPolicy(CollectMetrics(epoch_s), now_s);
 }
 
 void Cluster::FaultEnactorLoop() {
@@ -921,14 +595,10 @@ void Cluster::FaultEnactorLoop() {
 }
 
 void Cluster::MnodeLoop() {
-  using namespace std::chrono;
-  const auto start = steady_clock::now();
   while (mnode_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        microseconds(static_cast<long>(options_.mnode_epoch_ms * 1000)));
-    const double now_s =
-        duration_cast<duration<double>>(steady_clock::now() - start).count();
-    RunPolicyOnce(now_s, options_.mnode_epoch_ms / 1000.0);
+    WaitUs(options_.mnode_epoch_ms * 1000);
+    // The protocol notes fail-stops on the same clock.
+    RunPolicyOnce(NowUs() / 1e6, options_.mnode_epoch_ms / 1000.0);
   }
 }
 

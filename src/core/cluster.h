@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "core/reconfig.h"
 #include "dpm/dpm_node.h"
 #include "dpm/dpm_pool.h"
 #include "kn/kvs_node.h"
@@ -23,14 +25,6 @@
 #include "obs/trace.h"
 
 namespace dinomo {
-
-/// Which system of the paper's evaluation a cluster instantiates (§5,
-/// "Comparison points").
-enum class SystemVariant {
-  kDinomo,   // OP + DAC + selective replication
-  kDinomoS,  // shortcut-only cache, otherwise DINOMO
-  kDinomoN,  // shared-nothing: partitioned data/metadata, no replication
-};
 
 /// Configuration of a DINOMO cluster.
 struct ClusterOptions {
@@ -228,12 +222,9 @@ class Client {
 /// The virtual-time engine in src/sim reuses the same components but
 /// drives them through a discrete-event scheduler instead.
 ///
-/// All reconfigurations follow the protocol of §3.5: participants become
-/// unavailable, their logs merge synchronously, the mapping is published,
-/// and they resume — no data is copied (except in DINOMO-N mode, where
-/// reorganization physically moves entries, which is exactly the cost the
-/// paper charges AsymNVM-style designs).
-class Cluster {
+/// Reconfigurations run reconfig::Protocol (§3.5) with this class as its
+/// threaded, wall-clock runtime, one at a time under admin_mu_.
+class Cluster : private reconfig::Runtime {
  public:
   explicit Cluster(const ClusterOptions& options);
   ~Cluster();
@@ -241,7 +232,7 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  Status Start();
+  Status Start() EXCLUDES(admin_mu_);
   void Stop();
 
   std::unique_ptr<Client> NewClient() {
@@ -251,17 +242,17 @@ class Cluster {
   // ----- Administrative / reconfiguration operations -----
 
   /// Scales out by one KN. Returns the new KN's id.
-  Result<uint64_t> AddKn();
+  Result<uint64_t> AddKn() EXCLUDES(admin_mu_);
   /// Gracefully removes a KN (scale-in).
-  Status RemoveKn(uint64_t kn_id);
+  Status RemoveKn(uint64_t kn_id) EXCLUDES(admin_mu_);
   /// Fail-stop kills a KN and runs the failure-handling path of §3.5.
-  Status KillKn(uint64_t kn_id);
+  Status KillKn(uint64_t kn_id) EXCLUDES(admin_mu_);
   /// Fail-stop kills a DPM node: the pool promotes each of its ranges'
   /// mirrors (ring removal + generation bump), KNs quiesce and re-resolve
   /// segment homes, a re-replication pass restores the mirror count, and
   /// the measured recovery window publishes as dpm.pool.recovery_window_us.
   /// Requires dpm_nodes >= 2 (the last node cannot be killed).
-  Status KillDpm(int node);
+  Status KillDpm(int node) EXCLUDES(admin_mu_);
   /// Replicates a hot key's ownership across `replication` KNs.
   Status ReplicateKey(const Slice& key, int replication) {
     return ReplicateKeyHash(kn::KeyHash(key), replication);
@@ -272,8 +263,9 @@ class Cluster {
   }
   /// Hash-based forms used by the policy engine (which tracks keys by
   /// their 64-bit fingerprints).
-  Status ReplicateKeyHash(uint64_t key_hash, int replication);
-  Status DereplicateKeyHash(uint64_t key_hash);
+  Status ReplicateKeyHash(uint64_t key_hash, int replication)
+      EXCLUDES(admin_mu_);
+  Status DereplicateKeyHash(uint64_t key_hash) EXCLUDES(admin_mu_);
 
   // ----- Introspection -----
 
@@ -290,7 +282,7 @@ class Cluster {
   }
   /// The installed fault injector, or nullptr when running fault-free.
   net::FaultInjector* fault_injector() { return injector_.get(); }
-  std::vector<uint64_t> ActiveKns() const;
+  std::vector<uint64_t> ActiveKns() const override;
   kn::KvsNode* kn(uint64_t kn_id);
 
   /// Gathers the monitoring metrics the M-node consumes (resets the
@@ -301,21 +293,24 @@ class Cluster {
   void RecordLatency(double us);
 
   /// Runs one M-node decision epoch by hand (tests / manual driving).
-  mnode::PolicyAction RunPolicyOnce(double now_s, double epoch_s);
+  mnode::PolicyAction RunPolicyOnce(double now_s, double epoch_s)
+      EXCLUDES(admin_mu_);
 
  private:
   friend class Client;
 
-  kn::KnOptions MakeKnOptions(uint64_t kn_id) const;
-  void PushRoutingToAll();
-  /// Executes protocol steps 1-3 for the given participants: unavailable,
-  /// flush, synchronous merge.
-  Status QuiesceKns(const std::vector<uint64_t>& kn_ids);
-  void ResumeKns(const std::vector<uint64_t>& kn_ids);
-  /// DINOMO-N only: physically moves entries whose owner changed from
-  /// `from_kn` under `new_table`. Returns the number of keys moved.
-  Result<uint64_t> MigrateData(uint64_t from_kn,
-                               const cluster::RoutingTable& new_table);
+  // reconfig::Runtime, on threads and the wall clock. reconfig_ calls
+  // these with admin_mu_ held.
+  void RunOnWorkers(uint64_t kn_id,
+                    const std::function<void(kn::KnWorker*)>& fn) override;
+  uint64_t StartKn() override REQUIRES(admin_mu_);
+  void RetireKn(uint64_t kn_id) override;
+  void Pause(const std::vector<uint64_t>& kn_ids) override;
+  double Resume(const std::vector<uint64_t>& kn_ids) override;
+  void MergeRunnable() override {}  // the merge threads run them
+  void Charge(const reconfig::Cost& /*cost*/) override {}
+  double NowUs() const override;
+  void WaitUs(double us) override;
 
   void MnodeLoop();
   /// Enacts due kFailStop events. A dedicated thread because KillKn joins
@@ -327,7 +322,12 @@ class Cluster {
   std::unique_ptr<dpm::DpmPool> pool_;
   std::unique_ptr<net::FaultInjector> injector_;
   cluster::RoutingService routing_;
+  // Used only through reconfig_, under admin_mu_.
   mnode::PolicyEngine policy_;
+  reconfig::Protocol reconfig_;
+  // NowUs() origin, set by Start: fault schedules, M-node epochs and
+  // recovery windows all read this clock.
+  std::chrono::steady_clock::time_point epoch_;
 
   // Outermost locks in the canonical order (DESIGN.md): admin_mu_
   // serializes whole reconfigurations; kns_mu_ guards only the KN map

@@ -142,6 +142,13 @@ Status DpmPool::SealSegment(int node, uint64_t gen, int kn_node,
                                                         segment);
 }
 
+void DpmPool::SetFaultInjector(net::FaultInjector* injector) {
+  for (DpmNode* node : nodes_) {
+    node->fabric()->SetFaultInjector(injector);
+    node->SetFaultInjector(injector);
+  }
+}
+
 Status DpmPool::KillNode(int node) {
   {
     MutexLock lock(mu_);

@@ -79,6 +79,10 @@ class DpmPool {
 
   DpmPlacement PlacementOf(uint64_t key_hash) const;
 
+  /// Installs `injector` (nullptr = none) into every node's fabric and
+  /// RPC entry points. Non-owning.
+  void SetFaultInjector(net::FaultInjector* injector);
+
   /// Log owner id used for re-replication repair batches (below any real
   /// KN's `(kn_id << 8) | worker` encoding, so it never collides).
   static constexpr uint64_t kRepairOwner = 0x52;  // 'R'

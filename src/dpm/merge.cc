@@ -169,10 +169,31 @@ bool MergeService::ProcessOne() {
   return true;
 }
 
+void MergeService::Defer(const MergeTask& task) {
+  MutexLock lock(mu_);
+  OwnerQueue& q = queues_[task.owner];
+  DINOMO_CHECK(q.busy && !q.deferred);
+  q.deferred = true;
+  q.in_flight = task;
+}
+
+void MergeService::FinishDeferred(const MergeTask& task) {
+  {
+    MutexLock lock(mu_);
+    OwnerQueue& q = queues_[task.owner];
+    if (!q.deferred || q.in_flight.data != task.data) {
+      return;  // a drain finished it already
+    }
+    q.deferred = false;
+  }
+  Finish(task);
+}
+
 Status MergeService::DrainOwner(uint64_t owner) {
   while (true) {
     MergeTask task;
     bool run = false;
+    bool finish_only = false;
     {
       MutexLock lock(mu_);
       auto it = queues_.find(owner);
@@ -180,7 +201,11 @@ Status MergeService::DrainOwner(uint64_t owner) {
           (it->second.tasks.empty() && !it->second.busy)) {
         return Status::Ok();
       }
-      if (PopOwnerTaskLocked(owner, &task)) {
+      if (it->second.deferred) {
+        task = it->second.in_flight;
+        it->second.deferred = false;
+        finish_only = true;
+      } else if (PopOwnerTaskLocked(owner, &task)) {
         RemoveRunnableLocked(owner);
         run = true;
       } else {
@@ -193,10 +218,8 @@ Status MergeService::DrainOwner(uint64_t owner) {
         while (finish_events_ == seen) drain_cv_.Wait(lock);
       }
     }
-    if (run) {
-      Execute(task);
-      Finish(task);
-    }
+    if (run) Execute(task);
+    if (run || finish_only) Finish(task);
   }
 }
 

@@ -82,7 +82,8 @@ struct MergeAck {
 /// Two drive modes:
 ///  * real-thread: StartThreads(n) spawns n DPM worker threads;
 ///  * virtual-time: the cluster simulator calls TryDequeue()/Execute()
-///    itself and uses the returned CPU time as the server's service time.
+///    itself, uses the returned CPU time as the server's service time,
+///    and Defer()s the Finish to that modelled completion.
 class MergeService {
  public:
   /// Merge throughput metrics publish into `registry` (nullptr = the
@@ -117,9 +118,18 @@ class MergeService {
   /// finish. Returns false when idle.
   bool ProcessOne();
 
-  /// Synchronously merges everything queued for `owner`. Used by the
-  /// reconfiguration protocol (step 3: "DPM synchronously merges the data
-  /// in logs for these KNs") and by failure handling.
+  /// Virtual-time drive: `task` (dequeued and Executed by the caller) has
+  /// its Finish pending on the caller's clock. A drain that meets it
+  /// finishes it on the spot instead of waiting for a Finish that only
+  /// the draining thread could deliver.
+  void Defer(const MergeTask& task) EXCLUDES(mu_);
+  /// Finishes a deferred task unless a drain already did.
+  void FinishDeferred(const MergeTask& task) EXCLUDES(mu_);
+
+  /// Synchronously merges everything queued for `owner`, finishing a
+  /// deferred in-flight batch itself. Used by the reconfiguration protocol
+  /// (step 3: "DPM synchronously merges the data in logs for these KNs")
+  /// and by failure handling.
   Status DrainOwner(uint64_t owner) EXCLUDES(mu_);
 
   /// Synchronously merges everything queued for all owners.
@@ -155,6 +165,8 @@ class MergeService {
   struct OwnerQueue {
     std::deque<MergeTask> tasks;
     bool busy = false;  // a task of this owner is executing
+    bool deferred = false;  // busy with an executed task awaiting Finish
+    MergeTask in_flight;    // valid when deferred
   };
 
   // Invariant: an owner is in runnable_ exactly once iff its queue is

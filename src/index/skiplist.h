@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "index/kv_index.h"
 #include "net/fabric.h"
 #include "pm/pm_allocator.h"
 #include "pm/pm_pool.h"
@@ -21,7 +20,7 @@ namespace index {
 /// PmSkipList: the ordered DPM index that opens the scan workload class
 /// (YCSB-E). It lives beside the hash index (Clht serves point lookups;
 /// the skiplist serves range scans) and is mutated by the same merge path
-/// through the KvIndex interface.
+/// (DpmNode::ApplyRecord updates both).
 ///
 /// Layout: fixed 192-byte nodes (3 cache lines). The first line holds
 /// {okey, value, height, key_hash}; the next two hold the 16 level
@@ -56,7 +55,7 @@ namespace index {
 /// "search layer" keyed by that version (see kn::SearchLayerCache); a
 /// stale layer is still safe — nodes never move — it just starts the leaf
 /// walk a little earlier.
-class PmSkipList : public KvIndex {
+class PmSkipList {
  public:
   static constexpr int kMaxHeight = 16;
   /// Nodes at or above this height form the KN-cached search layer.
@@ -76,23 +75,22 @@ class PmSkipList : public KvIndex {
   static Result<PmSkipList*> Recover(pm::PmPool* pool, pm::PmAllocator* alloc,
                                      pm::PmPtr header);
 
-  ~PmSkipList() override = default;
-
   PmSkipList(const PmSkipList&) = delete;
   PmSkipList& operator=(const PmSkipList&) = delete;
 
-  // ----- KvIndex (local, DPM-processor side) -----
+  // ----- Local, DPM-processor side -----
+  // Same contract as Clht's: Upsert/Remove persist before returning and
+  // return the previous value pointer (kNullPmPtr if absent), Lookup is
+  // lock-free, ForEach is quiescent-only, and header_ptr() is stable
+  // across recovery.
 
-  pm::PmPtr header_ptr() const override { return header_ptr_; }
-  Result<pm::PmPtr> Upsert(uint64_t okey, pm::PmPtr value) override;
-  Result<pm::PmPtr> Remove(uint64_t okey) override;
-  pm::PmPtr Lookup(uint64_t okey) const override;
-  uint64_t Count() const override {
-    return count_.load(std::memory_order_relaxed);
-  }
-  Status CheckConsistency() const override;
-  void ForEach(
-      const std::function<void(uint64_t, pm::PmPtr)>& fn) const override;
+  pm::PmPtr header_ptr() const { return header_ptr_; }
+  Result<pm::PmPtr> Upsert(uint64_t okey, pm::PmPtr value);
+  Result<pm::PmPtr> Remove(uint64_t okey);
+  pm::PmPtr Lookup(uint64_t okey) const;
+  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  Status CheckConsistency() const;
+  void ForEach(const std::function<void(uint64_t, pm::PmPtr)>& fn) const;
 
   /// Visits live (okey, value) pairs with okey >= start in ascending okey
   /// order until `fn` returns false. Lock-free.

@@ -293,6 +293,7 @@ class KnWorker {
   void InjectUnmergedBatchForTest(std::string bytes, pm::PmPtr base,
                                   int node = 0);
 
+  int worker_idx() const { return worker_idx_; }
   /// Log owner id of this worker: (kn_id << 8) | worker_idx.
   uint64_t log_owner() const { return (options_.kn_id << 8) | worker_idx_; }
 

@@ -56,18 +56,10 @@ void KvsNode::Stop() {
 void KvsNode::Fail() {
   failed_.store(true, std::memory_order_release);
   available_.store(false, std::memory_order_release);
-  if (!running_.exchange(false)) return;
-  for (auto& q : queues_) q->Close();
-  {
-    MutexLock lock(merge_mu_);
-    merge_events_++;
-  }
-  merge_cv_.NotifyAll();
-  for (auto& t : threads_) t.join();
-  threads_.clear();
-  // DRAM contents are lost with the node: caches and un-flushed batches.
-  // (Workers stay allocated so late stats queries do not crash, but they
-  // are never driven again.)
+  // DRAM contents are lost with the node: caches and un-flushed batches
+  // (Stop flushes only a healthy node). Workers stay allocated so late
+  // stats queries do not crash, but they are never driven again.
+  Stop();
 }
 
 void KvsNode::Submit(const cluster::RoutingTable& routing, Request req) {
@@ -337,53 +329,6 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
       if (p.req->done) p.req->done(std::move(result));
     }
   }
-}
-
-WorkerStats KvsNode::AggregateStats(bool reset) {
-  WorkerStats total;
-  for (auto& w : workers_) {
-    // Collect on the worker's own thread when running to avoid races.
-    WorkerStats s;
-    if (running_.load(std::memory_order_acquire)) {
-      std::atomic<bool> done{false};
-      Mutex mu;
-      CondVar cv;
-      Request req;
-      req.type = Request::Type::kControl;
-      req.control = [&](KnWorker* worker) {
-        s = worker->SnapshotStats(reset);
-        // Notify while holding the lock: the waiter destroys mu/cv as
-        // soon as it observes done, so an unlocked notify could touch a
-        // dead condition variable.
-        MutexLock lock(mu);
-        done = true;
-        cv.NotifyAll();
-      };
-      const int idx = static_cast<int>(&w - &workers_[0]);
-      if (queues_[idx]->Push(std::move(req))) {
-        MutexLock lock(mu);
-        while (!done.load()) cv.Wait(lock);
-      } else {
-        // Queue closed under us: the worker thread is exiting, so an
-        // inline snapshot no longer races with it.
-        s = w->SnapshotStats(reset);
-      }
-    } else {
-      s = w->SnapshotStats(reset);
-    }
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.scans += s.scans;
-    total.value_hits += s.value_hits;
-    total.shortcut_hits += s.shortcut_hits;
-    total.misses += s.misses;
-    total.wrong_owner += s.wrong_owner;
-    total.busy_us += s.busy_us;
-    for (auto& hk : s.hot_keys) total.hot_keys.push_back(hk);
-    total.key_freq_mean += s.key_freq_mean / workers_.size();
-    total.key_freq_stddev += s.key_freq_stddev / workers_.size();
-  }
-  return total;
 }
 
 }  // namespace kn

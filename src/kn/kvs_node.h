@@ -95,9 +95,6 @@ class KvsNode {
   /// cached batch identified by the ack's base.
   void OnBatchMerged(const dpm::MergeAck& ack) EXCLUDES(merge_mu_);
 
-  /// Aggregated statistics across workers.
-  WorkerStats AggregateStats(bool reset);
-
   /// Requests submitted whose completion callback has not fired yet.
   /// Zero once the node is stopped or failed — the chaos harness gates on
   /// this to prove no request leaked.

@@ -47,7 +47,8 @@ class SearchLayerCache {
                    uint64_t generation);
 
   /// Best cached start for a scan: the cached node with the greatest
-  /// okey <= start_okey, or the list head when none qualifies.
+  /// okey < start_okey (a strict predecessor, since the walk starts at its
+  /// successor), or the list head when none qualifies.
   pm::PmPtr Seek(uint64_t start_okey) const;
 
   bool valid() const { return valid_; }

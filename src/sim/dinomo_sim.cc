@@ -1,10 +1,8 @@
 #include "sim/dinomo_sim.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/logging.h"
-#include "core/migration.h"
 
 namespace dinomo {
 namespace sim {
@@ -13,22 +11,23 @@ namespace {
 // Fixed protocol overhead of a reconfiguration round (hash-ring updates,
 // membership broadcast), us.
 constexpr double kReconfigOverheadUs = 200.0;
-// Failure-detection delay before the M-node reacts to a dead KN, us
-// (the paper's full recovery takes ~109 ms on a 2-minute timeline; the
-// experiment timelines here are ~50x shorter).
+// Failure-detection delay before the M-node reacts to a dead KN or DPM
+// node, us (the paper's full recovery takes ~109 ms on a 2-minute
+// timeline; the experiment timelines here are ~50x shorter).
 constexpr double kFailureDetectUs = 5e3;
-// Extra DPM CPU per migrated key in DINOMO-N reorganization, us.
-constexpr double kMigratePerKeyUs = 12.0;
-// DINOMO-N reorganization is a serial copy + index-rebuild pipeline; the
-// paper measures it at roughly 180 MB/s (11 s for a ~2 GB partition).
-constexpr double kMigrateUsPerByte = 1.0 / 180.0;
-// DPM processor time per entry re-encoded + merged during the
-// re-replication repair pass after a DPM fail-stop.
-constexpr double kRepairPerEntryUs = 2.0;
+
+DinomoSimOptions WithRegistry(DinomoSimOptions opt) {
+  if (opt.metrics != nullptr) {
+    opt.dpm.metrics = opt.metrics;
+    opt.kn.metrics = opt.metrics;
+  }
+  return opt;
+}
+
 }  // namespace
 
 DinomoSim::DinomoSim(const DinomoSimOptions& options)
-    : options_(options),
+    : options_(WithRegistry(reconfig::ForVariant(options))),
       tracer_(options.tracer != nullptr ? options.tracer
                                         : &obs::Tracer::Global()),
       metrics_(obs::Scope("sim.dinomo", options.metrics)),
@@ -36,27 +35,15 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
       throughput_mops_(metrics_.gauge("throughput_mops")),
       link_utilization_(metrics_.gauge("link.utilization")),
       dpm_utilization_(metrics_.gauge("dpm_pool.utilization")),
+      pool_(std::make_unique<dpm::DpmPool>(dpm::DpmPoolOptions{
+          options_.dpm_nodes, options_.replication_factor, options_.dpm})),
       routing_(options.kn.num_workers),
       policy_(options.policy),
+      reconfig_(this, pool_.get(), &routing_, &policy_, options_.variant,
+                options_.kn.num_workers),
       link_(options.dpm.link_profile.bandwidth_gbps),
       dpm_pool_(options.dpm_threads),
       windows_(options.stats_window_us) {
-  if (options_.variant == SystemVariant::kDinomoN) {
-    options_.dpm.partitioned_metadata = true;
-    options_.kn.dinomo_n = true;
-  }
-  if (options_.variant == SystemVariant::kDinomoS) {
-    options_.kn.policy = kn::CachePolicyKind::kShortcutOnly;
-  }
-  if (options_.metrics != nullptr) {
-    options_.dpm.metrics = options_.metrics;
-    options_.kn.metrics = options_.metrics;
-  }
-  dpm::DpmPoolOptions pool_opts;
-  pool_opts.nodes = options_.dpm_nodes;
-  pool_opts.replication_factor = options_.replication_factor;
-  pool_opts.dpm = options_.dpm;
-  pool_ = std::make_unique<dpm::DpmPool>(pool_opts);
   if (tracer_->enabled()) {
     // Virtual-time tracing: timestamps come from the engine clock, so a
     // trace replays bit-identically for a given seed. The clock override
@@ -78,10 +65,7 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
     // identically across runs; delays must never block the sim thread.
     injector_->SetClock([this] { return engine_.now_us(); });
     injector_->set_sleep_on_delay(false);
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
+    pool_->SetFaultInjector(injector_.get());
     for (const net::FaultEvent& ev : options_.faults.events) {
       if (ev.kind == net::FaultEvent::Kind::kFailStop) {
         engine_.ScheduleAt(ev.start_us, [this] {
@@ -100,8 +84,8 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
     }
   }
 
-  for (int i = 0; i < options_.num_kns; ++i) AddKnInternal(true);
-  PushRouting();
+  for (int i = 0; i < options_.num_kns; ++i) routing_.AddKn(StartKn());
+  reconfig_.PushRouting();
 
   streams_.resize(options_.client_threads);
   for (int i = 0; i < options_.client_threads; ++i) {
@@ -120,22 +104,6 @@ DinomoSim::~DinomoSim() {
   }
 }
 
-void DinomoSim::AddKnInternal(bool available) {
-  auto kn_sim = std::make_unique<KnSim>();
-  kn_sim->kn_id = next_kn_id_++;
-  kn_sim->unavailable_until = available ? 0.0 : 1e18;
-  kn::KnOptions kno = options_.kn;
-  kno.kn_id = kn_sim->kn_id;
-  kno.fabric_node = static_cast<int>(kn_sim->kn_id % net::Fabric::kMaxNodes);
-  for (int w = 0; w < options_.kn.num_workers; ++w) {
-    auto ws = std::make_unique<WorkerSim>();
-    ws->worker = std::make_unique<kn::KnWorker>(kno, w, pool_.get());
-    kn_sim->workers.push_back(std::move(ws));
-  }
-  kns_.push_back(std::move(kn_sim));
-  routing_.AddKn(kns_.back()->kn_id);
-}
-
 DinomoSim::KnSim* DinomoSim::FindKn(uint64_t kn_id) {
   for (auto& k : kns_) {
     if (k->kn_id == kn_id) return k.get();
@@ -143,50 +111,10 @@ DinomoSim::KnSim* DinomoSim::FindKn(uint64_t kn_id) {
   return nullptr;
 }
 
-int DinomoSim::NumActiveKns() const {
-  int n = 0;
-  for (const auto& k : kns_) {
-    if (!k->failed) n++;
-  }
-  return n;
-}
-
-std::vector<uint64_t> DinomoSim::ActiveKnIds() const {
-  std::vector<uint64_t> out;
-  for (const auto& k : kns_) {
-    if (!k->failed) out.push_back(k->kn_id);
-  }
-  return out;
-}
-
-void DinomoSim::PushRouting() {
-  auto table = routing_.Snapshot();
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    const uint64_t id = k->kn_id;
-    for (auto& ws : k->workers) {
-      ws->worker->SetRouting(table);
-      ws->worker->cache()->InvalidateIf([&table, id](uint64_t key_hash) {
-        return !table->IsOwner(key_hash, id);
-      });
-      if (ws->worker->icache() != nullptr) {
-        ws->worker->icache()->InvalidateIf([&table, id](uint64_t key_hash) {
-          return !table->IsOwner(key_hash, id);
-        });
-      }
-    }
-  }
-}
-
 void DinomoSim::Preload() {
   // Load-phase traffic is not part of any experiment; suspend injection
   // so the strict load-loop invariants (only Busy rejections) hold.
-  if (injector_ != nullptr) {
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(nullptr);
-      pool_->node(i)->SetFaultInjector(nullptr);
-    }
-  }
+  pool_->SetFaultInjector(nullptr);
   auto table = routing_.Snapshot();
   const std::string value(options_.spec.value_size, 'p');
   for (uint64_t rec = 0; rec < options_.spec.record_count; ++rec) {
@@ -230,12 +158,7 @@ void DinomoSim::Preload() {
   }
   // Measurement starts fresh: keep the warm caches, reset the counters.
   ResetProfileWindow();
-  if (injector_ != nullptr) {
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
-  }
+  pool_->SetFaultInjector(injector_.get());
 }
 
 void DinomoSim::Run(double duration_us, double warmup_us) {
@@ -470,9 +393,11 @@ void DinomoSim::PumpMerges() {
     dpm::MergeTask task;
     while (node->merge()->TryDequeue(&task)) {
       const double cpu = node->merge()->Execute(task);
+      // A reconfiguration may settle the batch before this event fires.
+      node->merge()->Defer(task);
       const double done = dpm_pool_.Reserve(engine_.now_us(), cpu);
       engine_.ScheduleAt(done, [this, node, task] {
-        node->merge()->Finish(task);
+        node->merge()->FinishDeferred(task);
         PumpMerges();
       });
     }
@@ -500,7 +425,7 @@ void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
                             double warmup_us) {
   DINOMO_CHECK(opts.source != nullptr);
   // The autoscaler consumes the per-epoch occupancy counters that
-  // CollectEpochMetrics also resets; running both would corrupt both.
+  // the M-node epoch also resets; running both would corrupt both.
   DINOMO_CHECK(!opts.autoscale || !mnode_enabled_);
   const double now = engine_.now_us();
   open_source_ = opts.source;
@@ -649,7 +574,7 @@ void DinomoSim::AutoscalerEval() {
   const mnode::SloAutoscaler::Decision decision =
       autoscaler_->Observe(sample, now / 1e6);
   if (decision.delta_kns > 0) {
-    for (int i = 0; i < decision.delta_kns; ++i) DoAddKn();
+    for (int i = 0; i < decision.delta_kns; ++i) (void)reconfig_.AddKn();
   } else {
     for (int i = 0; i < -decision.delta_kns; ++i) {
       // Retire the KN that did the least work since the last eval; its
@@ -665,7 +590,7 @@ void DinomoSim::AutoscalerEval() {
           found = true;
         }
       }
-      if (found) DoRemoveKn(victim);
+      if (found) (void)reconfig_.RemoveKn(victim);
     }
   }
   // Occupancy counters only feed victim choice here; restart them so the
@@ -798,346 +723,136 @@ void DinomoSim::EnableMnode() {
   engine_.ScheduleAfter(options_.mnode_epoch_us, [this] { MnodeEpoch(); });
 }
 
-mnode::ClusterMetrics DinomoSim::CollectEpochMetrics() {
-  mnode::ClusterMetrics metrics;
+void DinomoSim::MnodeEpoch() {
+  const double now = engine_.now_us();
+  mnode::ClusterMetrics metrics = reconfig_.CollectMetrics(
+      now - epoch_started_, [this](uint64_t kn_id, double) {
+        // Modelled: the time the KN's worker cores were held.
+        KnSim* k = FindKn(kn_id);
+        return std::exchange(k->busy_us_epoch, 0.0);
+      });
   metrics.avg_latency_us = epoch_latency_.Average();
   metrics.p99_latency_us = epoch_latency_.P99();
   epoch_latency_.Reset();
-
-  const double epoch_us = engine_.now_us() - epoch_started_;
-  std::unordered_map<uint64_t, uint64_t> key_counts;
-  double mean_sum = 0.0;
-  double std_sum = 0.0;
-  int n = 0;
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    const double per_worker_us = epoch_us * k->workers.size();
-    metrics.occupancy[k->kn_id] =
-        per_worker_us > 0
-            ? std::min(1.0, k->busy_us_epoch / per_worker_us)
-            : 0.0;
-    k->busy_us_epoch = 0.0;
-    for (auto& ws : k->workers) {
-      auto stats = ws->worker->SnapshotStats(/*reset=*/true);
-      for (const auto& [key, count] : stats.hot_keys) {
-        key_counts[key] += count;
-      }
-      mean_sum += stats.key_freq_mean;
-      std_sum += stats.key_freq_stddev;
-      n++;
-    }
-  }
-  if (n > 0) {
-    metrics.key_freq_mean = mean_sum / n;
-    metrics.key_freq_stddev = std_sum / n;
-  }
-  for (const auto& [key, count] : key_counts) {
-    metrics.hot_keys.emplace_back(key, count);
-  }
-  std::sort(metrics.hot_keys.begin(), metrics.hot_keys.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (metrics.hot_keys.size() > 32) metrics.hot_keys.resize(32);
-  auto table = routing_.Snapshot();
-  for (const auto& [key, owners] : table->replicated) {
-    metrics.replicated_keys[key] = static_cast<int>(owners.size());
-  }
-  return metrics;
-}
-
-void DinomoSim::MnodeEpoch() {
-  const double now = engine_.now_us();
-  mnode::ClusterMetrics metrics = CollectEpochMetrics();
   epoch_started_ = now;
-  const mnode::PolicyAction action = policy_.Evaluate(metrics, now / 1e6);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): the sim is single-threaded and
-  // nothing in the process calls setenv.
-  if (getenv("DINOMO_SIM_DEBUG") != nullptr) {
-    double min_occ = 1.0;
-    for (auto& [id, o] : metrics.occupancy) min_occ = std::min(min_occ, o);
-    fprintf(stderr, "[mnode t=%.0fms] avg=%.1f p99=%.1f minocc=%.3f kns=%zu action=%d\n",
-            now / 1000, metrics.avg_latency_us, metrics.p99_latency_us,
-            min_occ, metrics.occupancy.size(), static_cast<int>(action.kind));
-  }
-  switch (action.kind) {
-    case mnode::PolicyAction::Kind::kAddKn:
-      DoAddKn();
-      policy_.NoteMembershipChange(now / 1e6);
-      break;
-    case mnode::PolicyAction::Kind::kRemoveKn:
-      DoRemoveKn(action.kn_id);
-      policy_.NoteMembershipChange(now / 1e6);
-      break;
-    case mnode::PolicyAction::Kind::kReplicateKey:
-      DoReplicate(action.key_hash, action.replication_factor);
-      break;
-    case mnode::PolicyAction::Kind::kDereplicateKey:
-      DoDereplicate(action.key_hash);
-      break;
-    case mnode::PolicyAction::Kind::kNone:
-      break;
-  }
+  reconfig_.RunPolicy(metrics, now / 1e6);
   if (now < run_until_) {
     engine_.ScheduleAfter(options_.mnode_epoch_us, [this] { MnodeEpoch(); });
   }
 }
 
-void DinomoSim::DoAddKn() {
-  const double now = engine_.now_us();
-  // Step 1-3: flush and synchronously merge every participant's logs.
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    for (auto& ws : k->workers) {
-      kn::OpResult r = ws->worker->FlushWrites();
-      (void)r;
-    }
-  }
-  double done = now + kReconfigOverheadUs;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    dpm::MergeTask task;
-    while (pool_->node(n)->merge()->TryDequeue(&task)) {
-      const double cpu = pool_->node(n)->merge()->Execute(task);
-      done = std::max(done, dpm_pool_.Reserve(now, cpu));
-      pool_->node(n)->merge()->Finish(task);
-    }
-  }
-  // Step 4: new node + new mapping.
-  AddKnInternal(/*available=*/false);
-  KnSim* fresh = kns_.back().get();
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    // Physical data reorganization: the stall the paper shows in Fig 6.
-    auto table = routing_.Snapshot();
-    uint64_t bytes = 0;
-    uint64_t keys = 0;
-    for (auto& k : kns_) {
-      if (k->failed || k->kn_id == fresh->kn_id) continue;
-      auto stats = MigratePartitionData(pool_->node(0), k->kn_id, *table);
-      DINOMO_CHECK(stats.ok());
-      bytes += stats.value().bytes_moved;
-      keys += stats.value().keys_moved;
-    }
-    done = std::max(done, link_.Reserve(now, bytes));
-    done = std::max(done, dpm_pool_.Reserve(now, keys * kMigratePerKeyUs));
-    done = std::max(done, now + bytes * kMigrateUsPerByte);
-  }
-
-  // Step 5-7: participants resume at `done`; mappings pushed.
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    k->unavailable_until = std::max(k->unavailable_until, done);
-  }
-  fresh->unavailable_until = done;
-  PushRouting();
-}
-
-void DinomoSim::DoRemoveKn(uint64_t kn_id) {
-  const double now = engine_.now_us();
-  KnSim* k = FindKn(kn_id);
-  if (k == nullptr || k->failed) return;
-  for (auto& ws : k->workers) {
-    kn::OpResult r = ws->worker->FlushWrites();
-    (void)r;
-  }
-  double done = now + kReconfigOverheadUs;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    dpm::MergeTask task;
-    while (pool_->node(n)->merge()->TryDequeue(&task)) {
-      const double cpu = pool_->node(n)->merge()->Execute(task);
-      done = std::max(done, dpm_pool_.Reserve(now, cpu));
-      pool_->node(n)->merge()->Finish(task);
-    }
-  }
-  routing_.RemoveKn(kn_id);
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto stats = MigratePartitionData(pool_->node(0), kn_id, *table);
-    DINOMO_CHECK(stats.ok());
-    done = std::max(done, link_.Reserve(now, stats.value().bytes_moved));
-    done = std::max(done, dpm_pool_.Reserve(
-                              now, stats.value().keys_moved *
-                                       kMigratePerKeyUs));
-    done = std::max(done, now + stats.value().bytes_moved * kMigrateUsPerByte);
-    // The gainers stall while data reorganizes.
-    for (auto& other : kns_) {
-      if (!other->failed && other->kn_id != kn_id) {
-        other->unavailable_until =
-            std::max(other->unavailable_until, done);
-      }
-    }
-  }
-  k->failed = true;  // departed
-  PushRouting();
-}
-
-void DinomoSim::DoReplicate(uint64_t key_hash, int replication) {
-  const double now = engine_.now_us();
-  auto table = routing_.Snapshot();
-  const uint64_t primary = table->PrimaryOwner(key_hash);
-  std::vector<uint64_t> owners{primary};
-  for (const auto& k : kns_) {
-    if (static_cast<int>(owners.size()) >= replication) break;
-    if (!k->failed && k->kn_id != primary) owners.push_back(k->kn_id);
-  }
-  if (owners.size() <= 1) return;
-
-  KnSim* p = FindKn(primary);
-  if (p == nullptr || p->failed) return;
-  for (auto& ws : p->workers) {
-    kn::OpResult r = ws->worker->FlushWrites();
-    (void)r;
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      Status st = pool_->node(n)->DrainOwner(ws->worker->log_owner());
-      DINOMO_CHECK(st.ok());
-    }
-  }
-  // The indirect slot lives on the key's primary DPM node.
-  auto slot = pool_->node(pool_->PlacementOf(key_hash).primary)
-                  ->InstallIndirect(
-                      static_cast<int>(primary % net::Fabric::kMaxNodes),
-                      key_hash);
-  if (!slot.ok()) return;
-  for (auto& ws : p->workers) {
-    ws->worker->cache()->Invalidate(key_hash);
-    if (ws->worker->icache() != nullptr) {
-      ws->worker->icache()->Invalidate(key_hash);
-    }
-  }
-  routing_.SetReplication(key_hash, owners);
-  // Brief primary pause while ownership metadata propagates ("brief tail
-  // latency spikes ... to retrieve the up-to-date ownership mapping").
-  p->unavailable_until = std::max(p->unavailable_until, now + 1000.0);
-  PushRouting();
-}
-
-void DinomoSim::DoDereplicate(uint64_t key_hash) {
-  auto table = routing_.Snapshot();
-  const auto owners = table->OwnersOf(key_hash);
-  if (owners.size() <= 1) return;
-  for (uint64_t id : owners) {
-    KnSim* k = FindKn(id);
-    if (k == nullptr || k->failed) continue;
-    for (auto& ws : k->workers) {
-      ws->worker->cache()->Invalidate(key_hash);
-      if (ws->worker->icache() != nullptr) {
-        ws->worker->icache()->Invalidate(key_hash);
-      }
-    }
-  }
-  Status st = pool_->node(pool_->PlacementOf(key_hash).primary)
-                  ->RemoveIndirect(0, key_hash);
-  if (!st.ok() && !st.IsNotFound()) return;
-  routing_.ClearReplication(key_hash);
-  PushRouting();
-}
-
 void DinomoSim::DoKill(int kn_index) {
-  std::vector<KnSim*> active;
-  for (auto& k : kns_) {
-    if (!k->failed) active.push_back(k.get());
-  }
+  const std::vector<uint64_t> active = ActiveKns();
   if (kn_index < 0 || kn_index >= static_cast<int>(active.size())) return;
-  KnSim* victim = active[kn_index];
-  victim->failed = true;
-
-  // Detection + recovery: the M-node merges the failed KN's pending log
-  // segments and repartitions ownership (§3.5, "Fault tolerance").
+  const uint64_t victim = active[kn_index];
+  FindKn(victim)->failed = true;
+  // Detection, then the failure-handling round (§3.5, "Fault tolerance").
   engine_.ScheduleAfter(kFailureDetectUs, [this, victim] {
-    const double now = engine_.now_us();
-    double done = now + kReconfigOverheadUs;
-    for (auto& ws : victim->workers) {
-      for (int n = 0; n < pool_->num_nodes(); ++n) {
-        if (!pool_->alive(n)) continue;
-        Status st = pool_->node(n)->DrainOwner(ws->worker->log_owner());
-        DINOMO_CHECK(st.ok());
-        pool_->node(n)->ReleaseOwnerSegments(ws->worker->log_owner());
-      }
+    const Status st = reconfig_.RecoverKn(victim);
+    if (!st.ok()) {
+      DINOMO_LOG_STREAM(Warn) << "kn recovery failed: " << st.ToString();
     }
-    routing_.RemoveKn(victim->kn_id);
-    if (options_.variant == SystemVariant::kDinomoN) {
-      auto table = routing_.Snapshot();
-      auto stats =
-          MigratePartitionData(pool_->node(0), victim->kn_id, *table);
-      DINOMO_CHECK(stats.ok());
-      done = std::max(done, link_.Reserve(now, stats.value().bytes_moved));
-      done = std::max(done,
-                      dpm_pool_.Reserve(now, stats.value().keys_moved *
-                                                 kMigratePerKeyUs));
-      done = std::max(done,
-                      now + stats.value().bytes_moved * kMigrateUsPerByte);
-      for (auto& other : kns_) {
-        if (!other->failed) {
-          other->unavailable_until =
-              std::max(other->unavailable_until, done);
-        }
-      }
-    }
-    PushRouting();
-    policy_.NoteMembershipChange(now / 1e6);
   });
 }
 
 void DinomoSim::DoDpmKill(int node) {
   const double killed_at = engine_.now_us();
-  // The node dies NOW: the pool marks it dead, promotes each of its
-  // ranges' mirrors (ring removal), drains the survivors' merge queues and
-  // bumps the placement generation. Every worker re-resolves segment homes
-  // (FailoverRecover) at its next op; RPCs stamped with the old generation
-  // bounce as Unavailable, which the closed loop retries.
-  Status killed = pool_->KillNode(node);
+  // The node dies now: the pool promotes each of its ranges' mirrors and
+  // bumps the placement generation. Workers re-resolve segment homes at
+  // their next op; RPCs stamped with the old generation bounce as
+  // Unavailable, which the clients retry.
+  const Status killed = pool_->KillNode(node);
   if (!killed.ok()) {
     DINOMO_LOG_STREAM(Warn) << "dpm kill skipped: " << killed.ToString();
     return;
   }
   if (injector_ != nullptr) injector_->NoteDpmFailStopEnacted();
-
-  // Detection + recovery, mirroring Cluster::KillDpm: the M-node notices
-  // after kFailureDetectUs, quiesces the KNs, collapses shared keys,
-  // re-replicates, and resumes everyone once the modeled repair is done.
   engine_.ScheduleAfter(kFailureDetectUs, [this, killed_at] {
-    const double now = engine_.now_us();
-    // The engine is single-threaded, so draining every worker's log here
-    // gives ReReplicate the quiescence it requires.
-    for (auto& k : kns_) {
-      if (k->failed) continue;
-      for (auto& ws : k->workers) {
-        Status st = ws->worker->DrainLog();
-        if (!st.ok() && !st.IsBusy()) {
-          DINOMO_LOG_STREAM(Warn) << "post-kill drain failed: " << st.ToString();
-        }
-      }
+    const Status st = reconfig_.RecoverDpm(killed_at);
+    if (!st.ok()) {
+      DINOMO_LOG_STREAM(Warn) << "dpm recovery failed: " << st.ToString();
     }
-    // Shared keys are collapsed conservatively (their slots and shared
-    // writes were primary-only); the M-node re-replicates hot keys later.
-    auto table = routing_.Snapshot();
-    for (const auto& [key_hash, owners] : table->replicated) {
-      const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-      if (pl.primary >= 0 && pool_->alive(pl.primary)) {
-        Status st = pool_->node(pl.primary)->RemoveIndirect(0, key_hash);
-        (void)st;  // NotFound when the slot died with its node
-      }
-      routing_.ClearReplication(key_hash);
-    }
-    auto repair = pool_->ReReplicate();
-    if (!repair.ok()) {
-      DINOMO_LOG_STREAM(Error) << "re-replication failed: "
-                               << repair.status().ToString();
-    }
-    DINOMO_CHECK(repair.ok());
-    double done = now + kReconfigOverheadUs;
-    if (repair.value().bytes_copied > 0) {
-      done = std::max(done, link_.Reserve(now, repair.value().bytes_copied));
-      done = std::max(
-          done, dpm_pool_.Reserve(
-                    now, repair.value().entries_copied * kRepairPerEntryUs));
-    }
-    for (auto& k : kns_) {
-      if (k->failed) continue;
-      k->unavailable_until = std::max(k->unavailable_until, done);
-    }
-    PushRouting();
-    pool_->NoteRecoveryWindow(done - killed_at);
   });
+}
+
+// ----- reconfig::Runtime -----
+
+std::vector<uint64_t> DinomoSim::ActiveKns() const {
+  std::vector<uint64_t> out;
+  for (const auto& k : kns_) {
+    if (!k->failed) out.push_back(k->kn_id);
+  }
+  return out;
+}
+
+void DinomoSim::RunOnWorkers(uint64_t kn_id,
+                             const std::function<void(kn::KnWorker*)>& fn) {
+  KnSim* k = FindKn(kn_id);
+  if (k == nullptr || k->failed) return;
+  for (auto& ws : k->workers) fn(ws->worker.get());
+}
+
+uint64_t DinomoSim::StartKn() {
+  auto kn_sim = std::make_unique<KnSim>();
+  kn_sim->kn_id = next_kn_id_++;
+  kn::KnOptions kno = options_.kn;
+  kno.kn_id = kn_sim->kn_id;
+  kno.fabric_node = static_cast<int>(kn_sim->kn_id % net::Fabric::kMaxNodes);
+  for (int w = 0; w < options_.kn.num_workers; ++w) {
+    auto ws = std::make_unique<WorkerSim>();
+    ws->worker = std::make_unique<kn::KnWorker>(kno, w, pool_.get());
+    kn_sim->workers.push_back(std::move(ws));
+  }
+  kns_.push_back(std::move(kn_sim));
+  return kns_.back()->kn_id;
+}
+
+void DinomoSim::RetireKn(uint64_t kn_id) {
+  if (KnSim* k = FindKn(kn_id)) k->failed = true;
+}
+
+void DinomoSim::Pause(const std::vector<uint64_t>& /*kn_ids*/) {
+  // The round runs inside one event, so nothing is served before Resume
+  // sets the participants' unavailability.
+  round_end_ = engine_.now_us() + kReconfigOverheadUs;
+}
+
+double DinomoSim::Resume(const std::vector<uint64_t>& kn_ids) {
+  for (uint64_t id : kn_ids) {
+    if (KnSim* k = FindKn(id)) {
+      k->unavailable_until = std::max(k->unavailable_until, round_end_);
+    }
+  }
+  return round_end_;
+}
+
+void DinomoSim::MergeRunnable() {
+  // Each batch is charged on the modelled DPM processors.
+  const double now = engine_.now_us();
+  for (int n = 0; n < pool_->num_nodes(); ++n) {
+    dpm::MergeService* merge = pool_->node(n)->merge();
+    dpm::MergeTask task;
+    while (merge->TryDequeue(&task)) {
+      round_end_ =
+          std::max(round_end_, dpm_pool_.Reserve(now, merge->Execute(task)));
+      merge->Finish(task);
+    }
+  }
+}
+
+void DinomoSim::Charge(const reconfig::Cost& cost) {
+  const double now = engine_.now_us();
+  if (cost.link_bytes > 0) {
+    round_end_ = std::max(round_end_, link_.Reserve(now, cost.link_bytes));
+  }
+  if (cost.dpm_cpu_us > 0) {
+    round_end_ = std::max(round_end_, dpm_pool_.Reserve(now, cost.dpm_cpu_us));
+  }
+  round_end_ = std::max(round_end_, now + cost.latency_us);
+}
+
+void DinomoSim::WaitUs(double us) {
+  round_end_ = std::max(round_end_, engine_.now_us()) + us;
 }
 
 }  // namespace sim

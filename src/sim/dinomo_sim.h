@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cluster/routing.h"
-#include "core/cluster.h"
+#include "core/reconfig.h"
 #include "dpm/dpm_node.h"
 #include "dpm/dpm_pool.h"
 #include "kn/kn_worker.h"
@@ -87,7 +87,9 @@ struct DinomoSimOptions {
 /// The paper's DINOMO / DINOMO-S / DINOMO-N systems under the
 /// discrete-event engine: real KnWorker / DpmNode / cache / index code,
 /// virtual time. Used by the Figure-5/6/7/8 and Table-6 harnesses.
-class DinomoSim {
+/// Reconfigurations run reconfig::Protocol with this class as its
+/// virtual-time runtime.
+class DinomoSim : private reconfig::Runtime {
  public:
   explicit DinomoSim(const DinomoSimOptions& options);
   ~DinomoSim();
@@ -99,6 +101,7 @@ class DinomoSim {
   /// DPM node 0 — the whole pool in single-node configurations.
   dpm::DpmNode* dpm() { return pool_->node(0); }
   dpm::DpmPool* pool() { return pool_.get(); }
+  cluster::RoutingService* routing() { return &routing_; }
   /// Non-null iff options.faults was non-empty.
   net::FaultInjector* fault_injector() { return injector_.get(); }
   /// Closed-loop ops abandoned after exhausting their retry budget
@@ -162,8 +165,8 @@ class DinomoSim {
   /// Fail-stop kills the idx-th active KN at `at_us`.
   void ScheduleKill(double at_us, int kn_index);
   /// Fail-stop kills DPM pool node `node` at `at_us`: mirror promotion,
-  /// KN failover recovery, and (after the detection delay) a modeled
-  /// re-replication + routing round, exactly like Cluster::KillDpm.
+  /// KN failover recovery, and (after the detection delay) the protocol's
+  /// DPM recovery round, as Cluster::KillDpm runs it.
   void ScheduleDpmKill(double at_us, int node);
   /// Switches every client's workload spec at `at_us` (e.g. Zipf 0.5 ->
   /// Zipf 2 for the load-balancing experiment).
@@ -221,9 +224,11 @@ class DinomoSim {
   /// Stats of the last RunOpenLoop (nullptr before the first call).
   const OpenLoopStats* open_loop_stats() const { return open_stats_.get(); }
 
-  int NumActiveKns() const;
+  int NumActiveKns() const { return static_cast<int>(ActiveKns().size()); }
   /// KN ids currently serving.
-  std::vector<uint64_t> ActiveKnIds() const;
+  std::vector<uint64_t> ActiveKns() const override;
+  /// Runs reconfigurations at the current virtual time (between runs).
+  reconfig::Protocol* reconfig() { return &reconfig_; }
 
  private:
   struct WorkerSim {
@@ -255,9 +260,7 @@ class DinomoSim {
     std::vector<std::unique_ptr<obs::TraceContext>> traces;
   };
 
-  void AddKnInternal(bool available);
   KnSim* FindKn(uint64_t kn_id);
-  void PushRouting();
 
   /// One in-flight open-loop op. Held by shared_ptr in the engine's event
   /// closures so retries and completions share its mutable state.
@@ -296,15 +299,25 @@ class DinomoSim {
   void OpenDropTrace(obs::TraceContext* trace);
   void AutoscalerEval();
 
-  // M-node actions in virtual time.
+  // M-node and fault enactment in virtual time.
   void MnodeEpoch();
-  void DoAddKn();
-  void DoRemoveKn(uint64_t kn_id);
-  void DoReplicate(uint64_t key_hash, int replication);
-  void DoDereplicate(uint64_t key_hash);
   void DoKill(int kn_index);
   void DoDpmKill(int node);
-  mnode::ClusterMetrics CollectEpochMetrics();
+
+  // reconfig::Runtime, in virtual time: a protocol call runs inside one
+  // engine event. Pause opens a round at now + the fixed round overhead,
+  // each Charge may push its end out, and Resume holds the participants
+  // unavailable until it.
+  void RunOnWorkers(uint64_t kn_id,
+                    const std::function<void(kn::KnWorker*)>& fn) override;
+  uint64_t StartKn() override;
+  void RetireKn(uint64_t kn_id) override;
+  void Pause(const std::vector<uint64_t>& kn_ids) override;
+  double Resume(const std::vector<uint64_t>& kn_ids) override;
+  void MergeRunnable() override;
+  void Charge(const reconfig::Cost& cost) override;
+  double NowUs() const override { return engine_.now_us(); }
+  void WaitUs(double us) override;
 
   DinomoSimOptions options_;
   obs::Tracer* tracer_;        // options.tracer or the global one
@@ -322,9 +335,11 @@ class DinomoSim {
   std::unique_ptr<dpm::DpmPool> pool_;
   cluster::RoutingService routing_;
   mnode::PolicyEngine policy_;
+  reconfig::Protocol reconfig_;
 
   LinkModel link_;
   PoolModel dpm_pool_;
+  double round_end_ = 0.0;  // end of the current reconfiguration round
 
   std::vector<std::unique_ptr<KnSim>> kns_;
   uint64_t next_kn_id_ = 1;

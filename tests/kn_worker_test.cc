@@ -401,6 +401,24 @@ TEST_F(KnWorkerTest, ScanStartsAtFirstKeyGeqStart) {
   EXPECT_EQ(rows[2].key, ScanKey(8));
 }
 
+TEST_F(KnWorkerTest, ScanFromSearchLayerTowerKeyIncludesStartKey) {
+  // Enough keys that some nodes grow into the KN-cached search layer. A
+  // scan starting exactly at such a tower key must return that key first:
+  // the cached seek has to land strictly before it, because the leaf walk
+  // starts at the seek node's successor.
+  constexpr int kKeys = 1000;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v").status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  for (int i = 0; i < kKeys; ++i) {
+    std::vector<ScanRow> rows;
+    ASSERT_TRUE(worker_->Scan(Slice(ScanKey(i)), 1, &rows).status.ok());
+    ASSERT_EQ(rows.size(), 1u) << ScanKey(i);
+    EXPECT_EQ(rows[0].key, ScanKey(i));
+  }
+}
+
 TEST_F(KnWorkerTest, ScanOverlaysOwnUnmergedWrites) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(worker_->Put(ScanKey(i), "old").status.ok());
