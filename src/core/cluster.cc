@@ -386,9 +386,11 @@ Status Cluster::Start() {
   for (int i = 0; i < pool_->num_nodes(); ++i) {
     dpm::DpmNode* node = pool_->node(i);
     node->merge()->SetMergeCallback([this](const dpm::MergeAck& ack) {
-      const uint64_t kn_id = ack.owner >> 8;
-      kn::KvsNode* target = kn(kn_id);
-      if (target != nullptr) target->OnBatchMerged(ack);
+      // Delivered under kns_mu_: RetireKn destroys a KN under it, so the
+      // KN cannot go away while a merge thread acks its batch.
+      MutexLock lock(kns_mu_);
+      auto it = kns_.find(ack.owner >> 8);
+      if (it != kns_.end()) it->second->OnBatchMerged(ack);
     });
     if (tracer()->enabled()) node->merge()->SetTracer(tracer());
     node->merge()->StartThreads(options_.dpm_merge_threads);

@@ -1,6 +1,7 @@
 #include "core/reconfig.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 
@@ -74,19 +75,73 @@ std::vector<uint64_t> Protocol::LogOwners(
 
 void Protocol::PushRouting() {
   const auto table = routing_->Snapshot();
-  for (uint64_t id : rt_->ActiveKns()) {
-    // Empty exactly the partitions this KN no longer owns (§3.4: "the
-    // current owner empties its cache"), in the index-metadata cache too:
-    // a pointer for a range that later comes back must not resurface.
-    auto lost = [&table, id](uint64_t key_hash) {
+  const std::vector<uint64_t> kns = rt_->ActiveKns();
+  // Each KN empties exactly the partitions it no longer owns (§3.4: "the
+  // current owner empties its cache"), in the index-metadata cache too: a
+  // pointer for a range that later comes back must not resurface. A KN
+  // reached by the last push caches only keys that table gave it, so it
+  // can lose only keys replicated under either table, or ranges the ring
+  // handed away; removing nodes hands away only the removed nodes' ranges.
+  std::vector<uint64_t> shared_keys;
+  std::vector<cluster::HashRing::Handoff> handoffs;
+  if (pushed_ != nullptr) {
+    for (const auto* t : {pushed_.get(), table.get()}) {
+      for (const auto& [key_hash, owners] : t->replicated) {
+        shared_keys.push_back(key_hash);
+      }
+    }
+    std::sort(shared_keys.begin(), shared_keys.end());
+    shared_keys.erase(std::unique(shared_keys.begin(), shared_keys.end()),
+                      shared_keys.end());
+    if (!(pushed_->global_ring == table->global_ring)) {
+      handoffs = table->global_ring.HandoffsFrom(pushed_->global_ring);
+    }
+  }
+  for (uint64_t id : kns) {
+    auto not_owned = [&table, id](uint64_t key_hash) {
       return !table->IsOwner(key_hash, id);
     };
-    rt_->RunOnWorkers(id, [&table, &lost](kn::KnWorker* w) {
+    if (!std::binary_search(pushed_kns_.begin(), pushed_kns_.end(), id)) {
+      rt_->RunOnWorkers(id, [&table, &not_owned](kn::KnWorker* w) {
+        w->SetRouting(table);
+        w->cache()->InvalidateIf(not_owned);
+        if (w->icache() != nullptr) w->icache()->InvalidateIf(not_owned);
+      });
+      continue;
+    }
+    std::vector<uint64_t> lost_keys;
+    for (uint64_t key_hash : shared_keys) {
+      if (pushed_->IsOwner(key_hash, id) && not_owned(key_hash)) {
+        lost_keys.push_back(key_hash);
+      }
+    }
+    std::vector<cluster::HashRing::Handoff> lost_ranges;
+    for (const auto& h : handoffs) {
+      if (h.from == id) lost_ranges.push_back(h);
+    }
+    auto in_lost_range = [&lost_ranges, &not_owned](uint64_t key_hash) {
+      auto it = std::upper_bound(
+          lost_ranges.begin(), lost_ranges.end(), key_hash,
+          [](uint64_t k, const cluster::HashRing::Handoff& h) {
+            return k < h.first;
+          });
+      return it != lost_ranges.begin() && key_hash <= std::prev(it)->last &&
+             not_owned(key_hash);
+    };
+    rt_->RunOnWorkers(id, [&](kn::KnWorker* w) {
       w->SetRouting(table);
-      w->cache()->InvalidateIf(lost);
-      if (w->icache() != nullptr) w->icache()->InvalidateIf(lost);
+      for (uint64_t key_hash : lost_keys) {
+        w->cache()->Invalidate(key_hash);
+        if (w->icache() != nullptr) w->icache()->Invalidate(key_hash);
+      }
+      if (!lost_ranges.empty()) {
+        w->cache()->InvalidateIf(in_lost_range);
+        if (w->icache() != nullptr) w->icache()->InvalidateIf(in_lost_range);
+      }
     });
   }
+  pushed_ = table;
+  pushed_kns_ = kns;
 }
 
 Status Protocol::Quiesce(const std::vector<uint64_t>& kn_ids) {

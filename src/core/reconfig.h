@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "cluster/routing.h"
@@ -120,7 +121,10 @@ class Protocol {
   mnode::PolicyAction RunPolicy(const mnode::ClusterMetrics& metrics,
                                 double now_s);
   /// Publishes the current mapping to every live KN; each empties the
-  /// cache partitions it no longer owns.
+  /// cache partitions it no longer owns. A KN the previous push reached
+  /// drops only what it lost since then: the replicated keys whose owner
+  /// set no longer names it, and the ring ranges handed to added nodes.
+  /// Any other KN scans its whole cache.
   void PushRouting();
 
  private:
@@ -145,6 +149,11 @@ class Protocol {
   mnode::PolicyEngine* policy_;
   SystemVariant variant_;
   int workers_per_kn_;
+  // The table the last PushRouting published, and the KNs (ascending) it
+  // reached: their workers hold that table and cache only keys it gives
+  // them.
+  std::shared_ptr<const cluster::RoutingTable> pushed_;
+  std::vector<uint64_t> pushed_kns_;
 };
 
 }  // namespace reconfig

@@ -45,6 +45,8 @@ void MergeService::RemoveRunnableLocked(uint64_t owner) {
 }
 
 bool MergeService::AuditRunnableLocked() {
+  if (audited_gen_ == state_gen_) return false;
+  audited_gen_ = state_gen_;
   bool found = false;
   for (auto& [owner, q] : queues_) {
     if (q.busy || q.tasks.empty()) continue;
@@ -99,6 +101,7 @@ void MergeService::Enqueue(const MergeTask& task) {
     if (!q.busy && q.tasks.empty()) MarkRunnableLocked(task.owner);
     q.tasks.push_back(task);
     queued_total_++;
+    state_gen_++;
     UpdateDepthLocked();
   }
   work_cv_.NotifyOne();
@@ -149,6 +152,7 @@ void MergeService::Finish(const MergeTask& task) {
     if (!it->second.tasks.empty()) MarkRunnableLocked(task.owner);
     queued_total_--;
     finish_events_++;
+    state_gen_++;
     UpdateDepthLocked();
     cb = merge_cb_;
   }

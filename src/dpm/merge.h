@@ -19,6 +19,7 @@ namespace dinomo {
 namespace dpm {
 
 class DpmNode;
+class MergeServiceTestPeer;
 
 /// Cost profile for merge work executed by DPM processors. The Figure-4
 /// experiment contrasts a DRAM-backed DPM with an Optane-PM-backed one;
@@ -178,6 +179,8 @@ class MergeService {
   /// Called when the runnable list looks empty: any owner found with
   /// pending, non-busy work is a lost wakeup — count it as a stall and
   /// self-heal by re-listing the owner. Returns true if any were found.
+  /// Scans at most once per scheduler state change (state_gen_): an
+  /// unchanged state cannot hide a new lost wakeup.
   bool AuditRunnableLocked() REQUIRES(mu_);
   /// Picks the next owner for worker `worker_idx` (-1 = no affinity):
   /// oldest runnable owner homed on this worker, else steal the oldest
@@ -186,6 +189,8 @@ class MergeService {
   void UpdateDepthLocked() REQUIRES(mu_);
 
   void WorkerLoop(int worker_idx);
+
+  friend class MergeServiceTestPeer;
 
   DpmNode* dpm_;
   MergeProfile profile_;
@@ -201,6 +206,10 @@ class MergeService {
   // Monotonic count of completed batches; DrainOwner's wait predicate
   // ("some batch finished since I looked") keys off it.
   uint64_t finish_events_ GUARDED_BY(mu_) = 0;
+  // Bumped by Enqueue and Finish, the only transitions that can make an
+  // owner runnable; audited_gen_ is the value the last audit saw.
+  uint64_t state_gen_ GUARDED_BY(mu_) = 0;
+  uint64_t audited_gen_ GUARDED_BY(mu_) = 0;
   int num_workers_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
 

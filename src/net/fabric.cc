@@ -59,18 +59,15 @@ Fabric::Fabric(pm::PmPool* pool, LinkProfile profile,
 }
 
 Fabric::~Fabric() {
-  registry_->Unregister(&doorbell_batches_);
-  registry_->Unregister(&doorbell_fused_ops_);
-  registry_->Unregister(&doorbell_saved_rts_);
-  for (NodeMetrics& m : counters_) {
+  std::vector<const void*> metrics{&doorbell_batches_, &doorbell_fused_ops_,
+                                   &doorbell_saved_rts_};
+  for (const NodeMetrics& m : counters_) {
     if (!m.registered.load(std::memory_order_acquire)) continue;
-    registry_->Unregister(&m.round_trips);
-    registry_->Unregister(&m.wire_bytes);
-    registry_->Unregister(&m.one_sided_reads);
-    registry_->Unregister(&m.one_sided_writes);
-    registry_->Unregister(&m.cas_ops);
-    registry_->Unregister(&m.rpcs);
+    metrics.insert(metrics.end(),
+                   {&m.round_trips, &m.wire_bytes, &m.one_sided_reads,
+                    &m.one_sided_writes, &m.cas_ops, &m.rpcs});
   }
+  registry_->Unregister(std::move(metrics));
 }
 
 void Fabric::SetThreadOpCost(OpCost* cost) { t_op_cost = cost; }

@@ -213,11 +213,14 @@ void MetricsRegistry::RegisterHistogram(const std::string& name,
   entries_.push_back({name, Kind::kHistogram, h});
 }
 
-void MetricsRegistry::Unregister(const void* metric) {
+void MetricsRegistry::Unregister(std::vector<const void*> metrics) {
+  std::sort(metrics.begin(), metrics.end());
   MutexLock lock(mu_);
   auto dead = std::stable_partition(
-      entries_.begin(), entries_.end(),
-      [metric](const Entry& e) { return e.metric != metric; });
+      entries_.begin(), entries_.end(), [&metrics](const Entry& e) {
+        return !std::binary_search(metrics.begin(), metrics.end(),
+                                   static_cast<const void*>(e.metric));
+      });
   for (auto it = dead; it != entries_.end(); ++it) {
     switch (it->kind) {
       case Kind::kCounter:
@@ -337,10 +340,11 @@ std::string Scope::Name(std::string_view leaf) const {
 MetricGroup::MetricGroup(Scope scope) : scope_(std::move(scope)) {}
 
 MetricGroup::~MetricGroup() {
-  MetricsRegistry& reg = scope_.reg();
-  for (Counter& c : counters_) reg.Unregister(&c);
-  for (Gauge& g : gauges_) reg.Unregister(&g);
-  for (HistogramMetric& h : histograms_) reg.Unregister(&h);
+  std::vector<const void*> metrics;
+  for (const Counter& c : counters_) metrics.push_back(&c);
+  for (const Gauge& g : gauges_) metrics.push_back(&g);
+  for (const HistogramMetric& h : histograms_) metrics.push_back(&h);
+  scope_.reg().Unregister(std::move(metrics));
 }
 
 Counter& MetricGroup::counter(std::string_view leaf) {

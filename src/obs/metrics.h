@@ -165,17 +165,17 @@ class MetricsRegistry {
   HistogramMetric& GetHistogram(const std::string& name);
 
   // ----- Externally-owned metrics -----
-  // The component keeps ownership and MUST call Unregister(metric) before
-  // destroying the metric object. Duplicate names are allowed.
+  // The component keeps ownership and MUST call Unregister({metric, ...})
+  // before destroying the metric objects. Duplicate names are allowed.
   void RegisterCounter(const std::string& name, Counter* c);
   void RegisterGauge(const std::string& name, Gauge* g);
   void RegisterHistogram(const std::string& name, HistogramMetric* h);
-  /// Removes every registration of this metric object. The metric's final
-  /// value is folded into the registry's retired totals, so snapshots keep
-  /// reporting process-lifetime figures after the component that owned the
-  /// metric is destroyed (e.g. a bench tearing down one sim per data
-  /// point).
-  void Unregister(const void* metric);
+  /// Removes every registration of these metric objects, in one pass over
+  /// the registrations. Each metric's final value is folded into the
+  /// registry's retired totals, so snapshots keep reporting
+  /// process-lifetime figures after the component that owned the metric
+  /// is destroyed (e.g. a bench tearing down one sim per data point).
+  void Unregister(std::vector<const void*> metrics);
 
   // ----- Reads -----
   /// Sum of all counters registered under `name` (0 if none).

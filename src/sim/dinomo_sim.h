@@ -227,6 +227,9 @@ class DinomoSim : private reconfig::Runtime {
   int NumActiveKns() const { return static_cast<int>(ActiveKns().size()); }
   /// KN ids currently serving.
   std::vector<uint64_t> ActiveKns() const override;
+  /// Runs `fn` on each worker of a live KN, between events.
+  void RunOnWorkers(uint64_t kn_id,
+                    const std::function<void(kn::KnWorker*)>& fn) override;
   /// Runs reconfigurations at the current virtual time (between runs).
   reconfig::Protocol* reconfig() { return &reconfig_; }
 
@@ -308,8 +311,6 @@ class DinomoSim : private reconfig::Runtime {
   // engine event. Pause opens a round at now + the fixed round overhead,
   // each Charge may push its end out, and Resume holds the participants
   // unavailable until it.
-  void RunOnWorkers(uint64_t kn_id,
-                    const std::function<void(kn::KnWorker*)>& fn) override;
   uint64_t StartKn() override;
   void RetireKn(uint64_t kn_id) override;
   void Pause(const std::vector<uint64_t>& kn_ids) override;

@@ -1,13 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "cluster/hash_ring.h"
 #include "cluster/routing.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "mnode/policy.h"
 
 namespace dinomo {
+namespace cluster {
+
+// Places a node at chosen ring positions, so a test can force collisions.
+class HashRingTestPeer {
+ public:
+  static void Place(HashRing* ring, uint64_t node,
+                    const std::vector<uint64_t>& candidates) {
+    ring->Place(node, candidates);
+  }
+};
+
+}  // namespace cluster
+
 namespace {
 
 using cluster::HashRing;
@@ -101,6 +119,217 @@ TEST(HashRingTest, DuplicateAddIsNoop) {
   ring.RemoveNode(1);
   EXPECT_FALSE(ring.HasNode(1));
   EXPECT_TRUE(ring.HasNode(2));
+}
+
+// ----- HashRing layout, against a reference std::map ring -----
+
+constexpr uint64_t kMaxHash = std::numeric_limits<uint64_t>::max();
+
+std::vector<uint64_t> Candidates(uint64_t node, int virtual_nodes) {
+  std::vector<uint64_t> out;
+  for (int v = 0; v < virtual_nodes; ++v) {
+    out.push_back(HashSeeded(&node, sizeof(node), static_cast<uint64_t>(v)));
+  }
+  return out;
+}
+
+// The ring as an ordered map from point to node: the textbook layout.
+struct ReferenceRing {
+  std::map<uint64_t, uint64_t> points;
+  std::set<uint64_t> nodes;
+
+  void Place(uint64_t node, const std::vector<uint64_t>& candidates) {
+    if (!nodes.insert(node).second) return;
+    for (uint64_t p : candidates) {
+      while (points.count(p) != 0) p = Mix64(p + 1);
+      points[p] = node;
+    }
+  }
+  void Remove(uint64_t node) {
+    if (nodes.erase(node) == 0) return;
+    for (auto it = points.begin(); it != points.end();) {
+      it = it->second == node ? points.erase(it) : std::next(it);
+    }
+  }
+  std::map<uint64_t, uint64_t>::const_iterator Slot(uint64_t key) const {
+    auto it = points.lower_bound(key);
+    return it == points.end() ? points.begin() : it;
+  }
+  uint64_t OwnerOf(uint64_t key) const { return Slot(key)->second; }
+  std::vector<uint64_t> OwnersOf(uint64_t key, size_t n) const {
+    std::vector<uint64_t> out;
+    if (points.empty()) return out;
+    auto it = Slot(key);
+    for (size_t steps = 0; steps < points.size() && out.size() < n;
+         ++steps) {
+      if (std::find(out.begin(), out.end(), it->second) == out.end()) {
+        out.push_back(it->second);
+      }
+      if (++it == points.end()) it = points.begin();
+    }
+    return out;
+  }
+};
+
+// The hashes worth probing: random ones, every point and its neighbours,
+// and both ends of the hash space.
+std::vector<uint64_t> Probes(const ReferenceRing& ref, uint64_t seed) {
+  std::vector<uint64_t> keys{0, 1, kMaxHash - 1, kMaxHash};
+  for (const auto& [point, node] : ref.points) {
+    keys.insert(keys.end(), {point - 1, point, point + 1});
+  }
+  Random rng(seed);
+  for (int i = 0; i < 500; ++i) keys.push_back(rng.Next());
+  return keys;
+}
+
+void ExpectSameLayout(const HashRing& ring, const ReferenceRing& ref,
+                      uint64_t seed) {
+  ASSERT_EQ(ring.NumNodes(), ref.nodes.size());
+  EXPECT_EQ(ring.Nodes(),
+            std::vector<uint64_t>(ref.nodes.begin(), ref.nodes.end()));
+  for (uint64_t node : ref.nodes) EXPECT_TRUE(ring.HasNode(node));
+  if (ref.points.empty()) {
+    EXPECT_TRUE(ring.empty());
+    EXPECT_TRUE(ring.OwnersOf(42, 3).empty());
+    return;
+  }
+  for (uint64_t key : Probes(ref, seed)) {
+    ASSERT_EQ(ring.OwnerOf(key), ref.OwnerOf(key)) << "key " << key;
+    for (size_t n = 1; n <= ref.nodes.size() + 1; ++n) {
+      ASSERT_EQ(ring.OwnersOf(key, n), ref.OwnersOf(key, n))
+          << "key " << key << " n " << n;
+    }
+  }
+  // Shares: the same arcs summed in the same (ascending) order.
+  std::map<uint64_t, double> shares;
+  uint64_t prev = ref.points.rbegin()->first;
+  bool first = true;
+  for (const auto& [point, node] : ref.points) {
+    const uint64_t span = first ? point + (~prev) + 1 : point - prev;
+    shares[node] += span / 18446744073709551615.0;
+    prev = point;
+    first = false;
+  }
+  EXPECT_EQ(ring.OwnershipShares(), shares);
+}
+
+TEST(HashRingLayoutTest, MatchesReferenceUnderChurn) {
+  constexpr int kVnodes = 16;
+  HashRing ring(kVnodes);
+  ReferenceRing ref;
+  Random rng(7);
+  for (int step = 0; step < 60; ++step) {
+    const uint64_t node = 1 + rng.Uniform(12);
+    if (rng.Uniform(3) == 0) {
+      ring.RemoveNode(node);
+      ref.Remove(node);
+    } else {
+      ring.AddNode(node);
+      ref.Place(node, Candidates(node, kVnodes));
+    }
+    ExpectSameLayout(ring, ref, step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(HashRingLayoutTest, ForcedCollisionsSkewLikeTheReference) {
+  HashRing ring(8);
+  ReferenceRing ref;
+  for (uint64_t node = 1; node <= 3; ++node) {
+    ring.AddNode(node);
+    ref.Place(node, Candidates(node, 8));
+  }
+  // Node 9 lands on points nodes 1 and 2 hold, on itself twice, and on
+  // both ends of the hash space.
+  const uint64_t taken1 = ref.points.begin()->first;
+  const uint64_t taken2 = ref.points.rbegin()->first;
+  const std::vector<uint64_t> spots{taken1, taken2, 77, 77, 0, kMaxHash};
+  cluster::HashRingTestPeer::Place(&ring, 9, spots);
+  ref.Place(9, spots);
+  ExpectSameLayout(ring, ref, 1);
+  EXPECT_EQ(ring.OwnerOf(0), 9u);
+  EXPECT_EQ(ring.OwnerOf(kMaxHash), 9u);
+
+  // The skewed points stay put when a node they dodged leaves and comes
+  // back.
+  const uint64_t dodged = ref.points.at(taken1);
+  ring.RemoveNode(dodged);
+  ref.Remove(dodged);
+  ExpectSameLayout(ring, ref, 2);
+  ring.AddNode(dodged);
+  ref.Place(dodged, Candidates(dodged, 8));
+  ExpectSameLayout(ring, ref, 3);
+  ring.RemoveNode(9);
+  ref.Remove(9);
+  ExpectSameLayout(ring, ref, 4);
+}
+
+TEST(HashRingLayoutTest, EqualityFollowsTheLayout) {
+  HashRing a(16);
+  HashRing b(16);
+  EXPECT_TRUE(a == b);
+  for (uint64_t n = 1; n <= 6; ++n) a.AddNode(n);
+  for (uint64_t n = 6; n >= 1; --n) b.AddNode(n);
+  EXPECT_TRUE(a == b);  // no collisions: insertion order does not matter
+  a.RemoveNode(3);
+  EXPECT_FALSE(a == b);
+  b.RemoveNode(3);
+  EXPECT_TRUE(a == b);
+  // Same members, different points.
+  HashRing c(16);
+  for (uint64_t n = 1; n <= 5; ++n) {
+    if (n != 3) c.AddNode(n);
+  }
+  cluster::HashRingTestPeer::Place(&c, 6, Candidates(7, 16));
+  EXPECT_FALSE(a == c);
+  EXPECT_EQ(a.Nodes(), c.Nodes());
+}
+
+TEST(HashRingLayoutTest, HandoffsAreExactlyTheOwnerChanges) {
+  constexpr int kVnodes = 16;
+  HashRing ring(kVnodes);
+  ReferenceRing ref;
+  for (uint64_t n = 1; n <= 4; ++n) {
+    ring.AddNode(n);
+    ref.Place(n, Candidates(n, kVnodes));
+  }
+  Random rng(11);
+  for (int step = 0; step < 30; ++step) {
+    const HashRing before = ring;
+    const ReferenceRing ref_before = ref;
+    // One to three membership changes between the two rings.
+    const uint64_t changes = 1 + rng.Uniform(3);
+    for (uint64_t change = 0; change < changes; ++change) {
+      const uint64_t node = 1 + rng.Uniform(10);
+      if (rng.Uniform(2) == 0 && ring.NumNodes() > 1) {
+        ring.RemoveNode(node);
+        ref.Remove(node);
+      } else {
+        ring.AddNode(node);
+        ref.Place(node, Candidates(node, kVnodes));
+      }
+    }
+    const auto handoffs = ring.HandoffsFrom(before);
+    for (size_t i = 1; i < handoffs.size(); ++i) {
+      ASSERT_LT(handoffs[i - 1].last, handoffs[i].first);
+    }
+    std::vector<uint64_t> keys = Probes(ref, step);
+    const std::vector<uint64_t> old_keys = Probes(ref_before, step);
+    keys.insert(keys.end(), old_keys.begin(), old_keys.end());
+    for (uint64_t key : keys) {
+      const uint64_t from = ref_before.OwnerOf(key);
+      const uint64_t to = ref.OwnerOf(key);
+      auto it = std::upper_bound(
+          handoffs.begin(), handoffs.end(), key,
+          [](uint64_t k, const HashRing::Handoff& h) { return k < h.first; });
+      const bool listed = it != handoffs.begin() && key <= std::prev(it)->last;
+      ASSERT_EQ(listed, from != to) << "step " << step << " key " << key;
+      if (listed) {
+        EXPECT_EQ(std::prev(it)->from, from);
+      }
+    }
+  }
 }
 
 // ----- RoutingService / RoutingTable -----

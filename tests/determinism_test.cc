@@ -11,11 +11,28 @@
 #include <vector>
 
 #include "dpm/dpm_node.h"
+#include "obs/metrics.h"
 #include "sim/clover_sim.h"
 #include "sim/dinomo_sim.h"
 #include "workload/ycsb.h"
 
 namespace dinomo {
+namespace dpm {
+
+// Reaches into the merge scheduler to plant the bookkeeping bug its audit
+// exists to catch.
+class MergeServiceTestPeer {
+ public:
+  // Drops `owner` from the runnable list while its work stays queued: a
+  // lost wakeup.
+  static void LoseWakeup(MergeService* merge, uint64_t owner) {
+    MutexLock lock(merge->mu_);
+    merge->RemoveRunnableLocked(owner);
+  }
+};
+
+}  // namespace dpm
+
 namespace {
 
 constexpr size_t kMiB = 1024 * 1024;
@@ -112,6 +129,37 @@ TEST(MergeServiceEdgeTest, ProcessOneIdleReturnsFalse) {
   opt.segment_size = 128 * 1024;
   dpm::DpmNode dpm(opt);
   EXPECT_FALSE(dpm.merge()->ProcessOne());
+}
+
+TEST(MergeServiceEdgeTest, AuditRelistsAnOwnerLostFromTheRunnableList) {
+  obs::MetricsRegistry registry;
+  dpm::DpmOptions opt;
+  opt.pool_size = 64 * kMiB;
+  opt.index_log2_buckets = 4;
+  opt.segment_size = 128 * 1024;
+  opt.metrics = &registry;
+  dpm::DpmNode dpm(opt);
+  const uint64_t owner = 1 << 8;
+  auto seg = dpm.AllocateSegment(1, owner);
+  ASSERT_TRUE(seg.ok());
+  dpm::LogBuilder b;
+  b.AddPut(1, HashSlice("k"), "k", "v");
+  const pm::PmPtr dst = seg.value() + 64;
+  dpm.fabric()->Write(1, b.data(), dst, b.bytes());
+  ASSERT_TRUE(
+      dpm.SubmitBatch(1, owner, seg.value(), dst, b.bytes(), b.puts()).ok());
+
+  dpm::MergeServiceTestPeer::LoseWakeup(dpm.merge(), owner);
+  dpm::MergeTask task;
+  ASSERT_TRUE(dpm.merge()->TryDequeue(&task));
+  EXPECT_EQ(task.owner, owner);
+  EXPECT_EQ(task.data, dst);
+  EXPECT_EQ(registry.CounterValue("dpm.merge.queue.stalls"), 1u);
+  dpm.merge()->Execute(task);
+  dpm.merge()->Finish(task);
+  EXPECT_FALSE(dpm.merge()->TryDequeue(&task));
+  EXPECT_EQ(dpm.merge()->TotalPendingBatches(), 0u);
+  EXPECT_EQ(registry.CounterValue("dpm.merge.queue.stalls"), 1u);
 }
 
 TEST(MergeServiceEdgeTest, ConcurrentDrainersAndWorkers) {

@@ -114,8 +114,8 @@ TEST(MetricsTest, DuplicateNamesAggregateInSnapshot) {
   reg.RegisterCounter("cache.misses", &b);
   EXPECT_EQ(reg.CounterValue("cache.misses"), 15u);
   EXPECT_EQ(reg.Snapshot().counters.at("cache.misses"), 15u);
-  reg.Unregister(&a);
-  reg.Unregister(&b);
+  reg.Unregister({&a});
+  reg.Unregister({&b});
 }
 
 TEST(MetricsTest, ConcurrentCounterIncrements) {

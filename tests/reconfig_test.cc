@@ -1,7 +1,9 @@
 // The §3.5 reconfiguration protocol (core/reconfig) under both runtimes:
 // the hang regressions of the virtual-time drive (a DPM kill or a log
-// drain that meets a merge batch still in flight), and one reconfiguration
-// script run through the threaded Cluster and the virtual-time DinomoSim.
+// drain that meets a merge batch still in flight), one reconfiguration
+// script run through the threaded Cluster and the virtual-time DinomoSim,
+// and the routing push's postcondition: after every push no worker caches
+// a key its KN does not own.
 //
 // The ReconfigHangTest cases run under a ctest TIMEOUT (tests/CMakeLists.txt)
 // so that a regression fails instead of stalling the suite.
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -268,6 +271,215 @@ TEST(ReconfigProtocolTest, SameScriptSameRoutingInBothRuntimes) {
     EXPECT_EQ(in_sim.value(), sim_value);
   }
   cluster.Stop();
+}
+
+// ----- Routing-push postcondition, both runtimes -----
+
+// One runtime, as the push script drives it.
+struct PushHarness {
+  std::function<std::vector<uint64_t>()> active_kns;
+  std::function<void(uint64_t, const std::function<void(kn::KnWorker*)>&)>
+      run_on_workers;
+  std::function<std::shared_ptr<const cluster::RoutingTable>()> table;
+  std::function<Status()> add_kn;
+  std::function<Status(uint64_t, int)> replicate;
+  std::function<Status(uint64_t)> dereplicate;
+  std::function<Status(uint64_t)> remove_kn;
+  std::function<Status(uint64_t)> kill_kn;  // the KN with this id
+  // Fail-stops a DPM node. `mid_recovery` runs between the kill and the
+  // recovery round where the runtime leaves a gap (the virtual-time
+  // failure-detection delay, when workers already serve again).
+  std::function<Status(int, const std::function<void()>& mid_recovery)>
+      kill_dpm;
+  std::function<int(uint64_t)> dpm_home;  // a key's primary DPM node
+};
+
+// Reads every record through a worker of each KN that owns it, so each
+// worker's DAC and index cache hold the keys it serves (replicated keys
+// included, on every owner).
+void WarmCaches(PushHarness& d) {
+  const auto table = d.table();
+  for (uint64_t id : d.active_kns()) {
+    d.run_on_workers(id, [&](kn::KnWorker* w) {
+      for (uint64_t rec = 0; rec < kRecords; ++rec) {
+        const std::string key = workload::KeyForRecord(rec);
+        const uint64_t kh = kn::KeyHash(Slice(key));
+        if (table->IsOwner(kh, id) &&
+            table->ThreadFor(kh, id) == w->worker_idx()) {
+          (void)w->Get(Slice(key));
+        }
+      }
+    });
+  }
+}
+
+// Cached keys of KN `id`'s workers for which `pred` holds; scans through
+// InvalidateIf with a predicate that records and keeps every entry. The
+// threaded runtime runs the workers concurrently.
+size_t CountCached(PushHarness& d, uint64_t id,
+                   const std::function<bool(uint64_t)>& pred) {
+  std::atomic<size_t> n{0};
+  auto count = [&](uint64_t key_hash) {
+    if (pred(key_hash)) n.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  };
+  d.run_on_workers(id, [&](kn::KnWorker* w) {
+    w->cache()->InvalidateIf(count);
+    if (w->icache() != nullptr) w->icache()->InvalidateIf(count);
+  });
+  return n;
+}
+
+size_t CountAllCached(PushHarness& d) {
+  size_t n = 0;
+  for (uint64_t id : d.active_kns()) {
+    n += CountCached(d, id, [](uint64_t) { return true; });
+  }
+  return n;
+}
+
+// The push postcondition (§3.4): no worker holds a key its KN lost.
+void ExpectCachesHoldOnlyOwnedKeys(PushHarness& d, const std::string& step) {
+  const auto table = d.table();
+  for (uint64_t id : d.active_kns()) {
+    EXPECT_EQ(CountCached(d, id,
+                          [&](uint64_t kh) { return !table->IsOwner(kh, id); }),
+              0u)
+        << step << ": KN " << id << " caches keys it does not own";
+  }
+}
+
+// Add KN, replicate, dereplicate, remove KN, kill KN, kill a DPM node,
+// with warm caches before every step.
+void RunPushScript(PushHarness& d) {
+  const uint64_t hot_a = kn::KeyHash(Slice(workload::KeyForRecord(7)));
+  const uint64_t hot_b = kn::KeyHash(Slice(workload::KeyForRecord(11)));
+  auto step = [&](const std::string& name, const std::function<Status()>& fn) {
+    WarmCaches(d);
+    ASSERT_GT(CountAllCached(d), 0u) << name;
+    const Status st = fn();
+    ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
+    ExpectCachesHoldOnlyOwnedKeys(d, name);
+  };
+  ASSERT_NO_FATAL_FAILURE(step("add KN", d.add_kn));
+  ASSERT_NO_FATAL_FAILURE(step("replicate", [&] {
+    DINOMO_RETURN_IF_ERROR(d.replicate(hot_a, 3));
+    return d.replicate(hot_b, 3);
+  }));
+  ASSERT_NO_FATAL_FAILURE(
+      step("dereplicate", [&] { return d.dereplicate(hot_a); }));
+  ASSERT_NO_FATAL_FAILURE(
+      step("remove KN", [&] { return d.remove_kn(d.active_kns()[1]); }));
+  ASSERT_NO_FATAL_FAILURE(
+      step("kill KN", [&] { return d.kill_kn(d.active_kns()[0]); }));
+  // The DPM recovery collapses hot_b without invalidating it anywhere
+  // itself: its push must drop it from every owner but the primary. The
+  // kill empties every cache (placement failover), so the replica caches
+  // hot_b again before the recovery round where the runtime allows it.
+  ASSERT_TRUE(d.replicate(hot_b, 2).ok());
+  const std::vector<uint64_t> owners = d.table()->OwnersOf(hot_b);
+  ASSERT_EQ(owners.size(), 2u);
+  auto replica_caches_hot_b = [&] {
+    return CountCached(d, owners[1],
+                       [&](uint64_t kh) { return kh == hot_b; }) > 0;
+  };
+  WarmCaches(d);
+  ASSERT_TRUE(replica_caches_hot_b());
+  const int victim = d.dpm_home(hot_b) == 2 ? 1 : 2;  // keep hot_b's slot
+  ASSERT_NO_FATAL_FAILURE(step("kill DPM node", [&] {
+    return d.kill_dpm(victim, [&] {
+      WarmCaches(d);
+      EXPECT_TRUE(replica_caches_hot_b());
+    });
+  }));
+  EXPECT_TRUE(d.table()->replicated.empty());
+}
+
+TEST(ReconfigPushTest, ClusterCachesHoldOnlyOwnedKeysAfterEveryPush) {
+  ClusterOptions copt;
+  copt.dpm.pool_size = 256 * kMiB;
+  copt.dpm.index_log2_buckets = 8;
+  copt.dpm.segment_size = 256 * 1024;
+  copt.kn.num_workers = 2;
+  copt.kn.cache_bytes = 1 * kMiB;
+  copt.initial_kns = 3;
+  copt.dpm_nodes = 4;
+  copt.replication_factor = 2;
+  copt.dpm_merge_threads = 1;
+  Cluster cluster(copt);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient();
+  for (uint64_t rec = 0; rec < kRecords; ++rec) {
+    ASSERT_TRUE(client->Put(workload::KeyForRecord(rec), ValueFor(rec)).ok());
+  }
+  PushHarness d;
+  d.active_kns = [&] { return cluster.ActiveKns(); };
+  d.run_on_workers = [&](uint64_t id, const auto& fn) {
+    cluster.kn(id)->RunOnAllWorkers(fn);
+  };
+  d.table = [&] { return cluster.routing()->Snapshot(); };
+  d.add_kn = [&] { return cluster.AddKn().status(); };
+  d.replicate = [&](uint64_t kh, int r) {
+    return cluster.ReplicateKeyHash(kh, r);
+  };
+  d.dereplicate = [&](uint64_t kh) { return cluster.DereplicateKeyHash(kh); };
+  d.remove_kn = [&](uint64_t id) { return cluster.RemoveKn(id); };
+  d.kill_kn = [&](uint64_t id) { return cluster.KillKn(id); };
+  d.kill_dpm = [&](int node, const std::function<void()>&) {
+    return cluster.KillDpm(node);  // recovery runs inside the call
+  };
+  d.dpm_home = [&](uint64_t kh) {
+    return cluster.dpm_pool()->PlacementOf(kh).primary;
+  };
+  RunPushScript(d);
+  cluster.Stop();
+}
+
+TEST(ReconfigPushTest, SimCachesHoldOnlyOwnedKeysAfterEveryPush) {
+  obs::MetricsRegistry reg;
+  sim::DinomoSimOptions sopt = SimOptions(&reg);
+  sopt.client_threads = 0;
+  sopt.spec.record_count = kRecords;
+  sopt.spec.value_size = 64;
+  sim::DinomoSim sim(sopt);
+  sim.Preload();
+  auto settle = [&] { sim.Run(0.02 * kSecond); };
+  PushHarness d;
+  d.active_kns = [&] { return sim.ActiveKns(); };
+  d.run_on_workers = [&](uint64_t id, const auto& fn) {
+    sim.RunOnWorkers(id, fn);
+  };
+  d.table = [&] { return sim.routing()->Snapshot(); };
+  d.add_kn = [&] { return sim.reconfig()->AddKn().status(); };
+  d.replicate = [&](uint64_t kh, int r) {
+    return sim.reconfig()->ReplicateKey(kh, r);
+  };
+  d.dereplicate = [&](uint64_t kh) {
+    return sim.reconfig()->DereplicateKey(kh);
+  };
+  d.remove_kn = [&](uint64_t id) { return sim.reconfig()->RemoveKn(id); };
+  d.kill_kn = [&](uint64_t id) {
+    const std::vector<uint64_t> kns = sim.ActiveKns();
+    const auto at = std::find(kns.begin(), kns.end(), id);
+    sim.ScheduleKill(sim.engine()->now_us(),
+                     static_cast<int>(at - kns.begin()));
+    settle();
+    return sim.routing()->Snapshot()->global_ring.HasNode(id)
+               ? Status::TimedOut("KN still in the ring")
+               : Status::Ok();
+  };
+  d.kill_dpm = [&](int node, const std::function<void()>& mid_recovery) {
+    sim.ScheduleDpmKill(sim.engine()->now_us(), node);
+    sim.Run(1000.0);  // the kill; recovery follows the detection delay
+    mid_recovery();
+    settle();
+    return sim.pool()->alive(node) ? Status::TimedOut("DPM node alive")
+                                   : Status::Ok();
+  };
+  d.dpm_home = [&](uint64_t kh) {
+    return sim.pool()->PlacementOf(kh).primary;
+  };
+  RunPushScript(d);
 }
 
 }  // namespace
