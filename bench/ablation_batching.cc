@@ -27,7 +27,8 @@ Point RunOne(size_t batch_ops, double duration_us) {
   sim::DinomoSim sim(opt);
   sim.Preload();
   sim.Run(duration_us, duration_us / 2);
-  return Point{sim.ThroughputMops(), sim.CollectProfile().rts_per_op};
+  return Point{sim.clients().ThroughputMops(),
+               sim.CollectProfile().rts_per_op};
 }
 
 }  // namespace

@@ -25,12 +25,12 @@ void RunOne(double cache_fraction, double duration_us,
   sim.Run(duration_us, duration_us * 0.4);
   auto p = sim.CollectProfile();
   std::printf("%-16.3f %12.3f %10.1f%% %12.1f%% %10.2f\n", cache_fraction,
-              sim.ThroughputMops(), p.cache_hit_ratio * 100,
+              sim.clients().ThroughputMops(), p.cache_hit_ratio * 100,
               p.value_hit_share * 100, p.rts_per_op);
   std::fflush(stdout);
   reporter->Add(obs::Json::Object()
                     .Set("cache_fraction", cache_fraction)
-                    .Set("mops", sim.ThroughputMops())
+                    .Set("mops", sim.clients().ThroughputMops())
                     .Set("hit_ratio", p.cache_hit_ratio)
                     .Set("value_hit_share", p.value_hit_share)
                     .Set("rts_per_op", p.rts_per_op));

@@ -61,7 +61,7 @@ double RunOne(const PolicyConfig& policy, double cache_pct,
   if (rts_per_op != nullptr) {
     *rts_per_op = sim.CollectProfile().rts_per_op;
   }
-  return sim.ThroughputMops();
+  return sim.clients().ThroughputMops();
 }
 
 }  // namespace

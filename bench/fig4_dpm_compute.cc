@@ -36,7 +36,7 @@ double RunInsertOnly(int dpm_threads, dpm::MergeProfile profile,
   sim::DinomoSim sim(opt);
   sim.Preload();
   sim.Run(duration_us, /*warmup_us=*/duration_us * 0.3);
-  return sim.ThroughputMops();
+  return sim.clients().ThroughputMops();
 }
 
 // Merge throughput measured the way the paper does: pre-generated log

@@ -24,7 +24,7 @@ double RunDinomoVariant(SystemVariant variant, int kns,
   sim::DinomoSim sim(opt);
   sim.Preload();
   sim.Run(duration_us, duration_us / 2);
-  return sim.ThroughputMops();
+  return sim.clients().ThroughputMops();
 }
 
 double RunClover(int kns, const workload::WorkloadSpec& spec,
@@ -33,7 +33,7 @@ double RunClover(int kns, const workload::WorkloadSpec& spec,
   sim::CloverSim sim(opt);
   sim.Preload();
   sim.Run(duration_us, duration_us / 2);
-  return sim.ThroughputMops();
+  return sim.clients().ThroughputMops();
 }
 
 }  // namespace

@@ -48,8 +48,8 @@ void RunSystem(SystemVariant variant, const char* name,
   sim::DinomoSim sim(opt);
   sim.Preload();
   sim.EnableMnode();
-  sim.ScheduleLoadChange(kBurstAt, kBurstStreams);
-  sim.ScheduleLoadChange(kCalmAt, kBaseStreams);
+  sim.clients().ScheduleLoadChange(kBurstAt, kBurstStreams);
+  sim.clients().ScheduleLoadChange(kCalmAt, kBaseStreams);
 
   // Sample KN count over time by piggybacking on the engine.
   std::vector<std::pair<double, int>> kn_series;
@@ -66,7 +66,7 @@ void RunSystem(SystemVariant variant, const char* name,
   std::printf("\n--- %s ---\n", name);
   std::printf("%8s %12s %12s %12s %6s\n", "t(s)", "Kops/s", "avg(us)",
               "p99(us)", "KNs");
-  const auto& w = sim.windows();
+  const auto& w = sim.clients().windows();
   size_t kn_idx = 0;
   for (size_t i = 0; i < w.num_windows(); ++i) {
     const double t = (i + 1) * w.window_us();
@@ -87,8 +87,9 @@ void RunSystem(SystemVariant variant, const char* name,
                       for (const auto& kv : kn_series) mx = std::max(mx, kv.second);
                       return mx;
                     }())
-                    .Set("avg_mops", sim.ThroughputMops())
-                    .Set("p99_latency_us", sim.P99LatencyUs()));
+                    .Set("avg_mops", sim.clients().ThroughputMops())
+                    .Set("p99_latency_us",
+                         sim.clients().P99LatencyUs()));
 }
 
 }  // namespace

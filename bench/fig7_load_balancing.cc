@@ -75,10 +75,10 @@ double RunDinomo(SystemVariant variant, const char* name,
   sim::DinomoSim sim(opt);
   sim.Preload();
   if (enable_mnode) sim.EnableMnode();
-  sim.ScheduleWorkloadChange(kSwitchAt, HighSkew());
+  sim.clients().ScheduleWorkloadChange(kSwitchAt, HighSkew());
   sim.Run(g_duration, 0);
-  PrintTimeline(sim.windows(), name);
-  return TailMops(sim.windows(), 5);
+  PrintTimeline(sim.clients().windows(), name);
+  return TailMops(sim.clients().windows(), 5);
 }
 
 double RunClover() {
@@ -87,10 +87,10 @@ double RunClover() {
   opt.stats_window_us = 100e3;
   sim::CloverSim sim(opt);
   sim.Preload();
-  sim.ScheduleWorkloadChange(kSwitchAt, HighSkew());
+  sim.clients().ScheduleWorkloadChange(kSwitchAt, HighSkew());
   sim.Run(g_duration, 0);
-  PrintTimeline(sim.windows(), "Clover");
-  return TailMops(sim.windows(), 5);
+  PrintTimeline(sim.clients().windows(), "Clover");
+  return TailMops(sim.clients().windows(), 5);
 }
 
 }  // namespace

@@ -156,7 +156,8 @@ int main(int argc, char** argv) {
     sim.Preload();
     sim.ScheduleKill(kKillAt, /*kn_index=*/3);
     sim.Run(kDuration, 0);
-    PrintTimeline(sim.windows(), names[0], &before[0], &dip[0], &after[0]);
+    PrintTimeline(sim.clients().windows(), names[0], &before[0],
+                  &dip[0], &after[0]);
   }
   {
     // The same kill with transient wire/RPC faults layered on top:
@@ -176,7 +177,8 @@ int main(int argc, char** argv) {
     sim.Preload();
     sim.ScheduleKill(kKillAt, /*kn_index=*/3);
     sim.Run(kDuration, 0);
-    PrintTimeline(sim.windows(), names[3], &before[3], &dip[3], &after[3]);
+    PrintTimeline(sim.clients().windows(), names[3], &before[3],
+                  &dip[3], &after[3]);
   }
   if (run_dinomo_n) {
     auto opt = bench::BaseDinomo(SystemVariant::kDinomoN, kKns, Spec());
@@ -187,7 +189,8 @@ int main(int argc, char** argv) {
     sim.Preload();
     sim.ScheduleKill(kKillAt, 3);
     sim.Run(kDuration, 0);
-    PrintTimeline(sim.windows(), names[1], &before[1], &dip[1], &after[1]);
+    PrintTimeline(sim.clients().windows(), names[1], &before[1],
+                  &dip[1], &after[1]);
   } else {
     before[1] = dip[1] = after[1] = 0;
   }
@@ -201,7 +204,8 @@ int main(int argc, char** argv) {
     sim.Preload();
     sim.ScheduleKill(kKillAt, 3);
     sim.Run(kDuration, 0);
-    PrintTimeline(sim.windows(), names[2], &before[2], &dip[2], &after[2]);
+    PrintTimeline(sim.clients().windows(), names[2], &before[2],
+                  &dip[2], &after[2]);
   }
   {
     // The DPM-kill pass: same workload against a replicated DPM pool,
@@ -219,7 +223,8 @@ int main(int argc, char** argv) {
     sim::DinomoSim sim(opt);
     sim.Preload();
     sim.Run(kDuration, 0);
-    PrintTimeline(sim.windows(), names[4], &before[4], &dip[4], &after[4]);
+    PrintTimeline(sim.clients().windows(), names[4], &before[4],
+                  &dip[4], &after[4]);
 
     // No acknowledged write lost: flush the KN-side log buffers (acked
     // writes may still sit there, served from the buffer on reads),

@@ -57,7 +57,7 @@ double MeasureMops(int depth, double duration_us) {
   sim::DinomoSim sim(opt);
   sim.Preload();
   sim.Run(duration_us, duration_us / 5.0);
-  return sim.ThroughputMops();
+  return sim.clients().ThroughputMops();
 }
 
 // ----- Section 2: doorbell fusion + dual-counter agreement -----

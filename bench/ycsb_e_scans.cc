@@ -70,7 +70,7 @@ ScanMixResult MeasureScanMix(uint32_t scan_len_max, double duration_us) {
 
   const auto profile = sim.CollectProfile();
   ScanMixResult r;
-  r.mops = sim.ThroughputMops();
+  r.mops = sim.clients().ThroughputMops();
   r.rts_per_op = profile.rts_per_op;
   r.scans = profile.scans;
   r.point_ops = profile.ops;

@@ -41,13 +41,13 @@ int main() {
   sim.EnableMnode();
 
   // Burst at t=1s (load x8), calm down at t=4s.
-  sim.ScheduleLoadChange(1e6, 32);
-  sim.ScheduleLoadChange(4e6, 4);
+  sim.clients().ScheduleLoadChange(1e6, 32);
+  sim.clients().ScheduleLoadChange(4e6, 4);
 
   std::printf("running 6s of virtual time with the M-node in control...\n");
   sim.Run(6e6, 0);
 
-  const auto& w = sim.windows();
+  const auto& w = sim.clients().windows();
   std::printf("\n%8s %12s %12s %12s\n", "t(s)", "Kops/s", "avg(us)",
               "p99(us)");
   for (size_t i = 0; i < w.num_windows(); ++i) {

@@ -2,6 +2,7 @@
 """Validate bench --json_out reports and gate CI on performance drift.
 
 Usage: check_bench_json.py report.json [--trace=trace.json ...]
+       check_bench_json.py --model-identity parent.json change.json
 
 Every report is schema-checked (dinomo-bench-v1). For benches with
 checked-in expectations (currently table5_rts_per_op in --quick mode),
@@ -16,6 +17,14 @@ with the OpCost aggregate within 1%, trace.dropped_spans must be
 reported (nonzero is fine — the ring overwrites by design — absent is
 not), and for micro_index the tracing-disabled overhead gauge
 trace.overhead.disabled_pct must stay <= 2.
+
+--model-identity compares two reports of the same bench, one built from
+a parent commit and one from a change: it fails when their `results` or
+`metrics` sections differ anywhere. Host-cost fields (HOST_COST_FIELDS:
+wall-clock measurements of the host, not the model) are left out of the
+comparison, and so are the provenance fields outside those sections
+(git_sha). A refactor that claims byte-identical model
+outputs proves it with this mode.
 
 The simulations are seeded and run in virtual time, so these figures are
 deterministic up to floating-point ordering across toolchains — the band
@@ -105,6 +114,68 @@ SIM_BENCHES = {
 # offered traffic across the run (the spike backlog must drain before the
 # end), despite latencies being measured from intended send.
 STORM_MIN_DELIVERED_RATIO = 0.95
+
+
+# Metric-name prefixes that measure the host rather than the model: the
+# tracing-overhead gauges micro_index times on the wall clock.
+HOST_COST_FIELDS = ("trace.overhead.",)
+
+
+def is_host_cost(name):
+    return name.startswith(HOST_COST_FIELDS)
+
+
+def model_diffs(a, b, path, out):
+    """Appends to `out` the paths where `a` and `b` differ, skipping
+    host-cost fields."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if is_host_cost(key):
+                continue
+            sub = f"{path}.{key}"
+            if key not in a or key not in b:
+                out.append(f"{sub}: only in "
+                           f"{'change' if key not in a else 'parent'}")
+            else:
+                model_diffs(a[key], b[key], sub, out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out.append(f"{path}: {len(a)} entries in parent, "
+                       f"{len(b)} in change")
+        for i, (x, y) in enumerate(zip(a, b)):
+            model_diffs(x, y, f"{path}[{i}]", out)
+    elif a != b or type(a) is not type(b):
+        out.append(f"{path}: parent {a!r}, change {b!r}")
+
+
+def check_model_identity(parent_path, change_path):
+    docs = []
+    for path in (parent_path, change_path):
+        try:
+            with open(path) as f:
+                docs.append(json.load(f))
+        except (OSError, json.JSONDecodeError) as e:
+            return fail(f"{path}: {e}")
+    parent, change = docs
+    if parent.get("bench") != change.get("bench") or \
+            parent.get("quick") != change.get("quick"):
+        return fail(f"{change_path}: bench/quick "
+                    f"{change.get('bench')}/{change.get('quick')} does not "
+                    f"match the parent's "
+                    f"{parent.get('bench')}/{parent.get('quick')}")
+    diffs = []
+    for section in ("results", "metrics"):
+        model_diffs(parent.get(section), change.get(section), section, diffs)
+    if diffs:
+        for d in diffs[:20]:
+            print(f"  {d}")
+        if len(diffs) > 20:
+            print(f"  ... {len(diffs) - 20} more")
+        return fail(f"{change_path}: {len(diffs)} model output(s) differ "
+                    f"from {parent_path}")
+    print(f"ok: {change_path}: results and metrics identical to "
+          f"{parent_path} (bench={change.get('bench')})")
+    return True
 
 
 def fail(msg):
@@ -627,6 +698,11 @@ def main(argv):
     if len(argv) < 2:
         print(__doc__)
         return 2
+    if argv[1] == "--model-identity":
+        if len(argv) != 4:
+            print(__doc__)
+            return 2
+        return 0 if check_model_identity(argv[2], argv[3]) else 1
     ok = True
     for path in argv[1:]:
         if path.startswith("--trace="):

@@ -93,7 +93,11 @@ void Protocol::PushRouting() {
     std::sort(shared_keys.begin(), shared_keys.end());
     shared_keys.erase(std::unique(shared_keys.begin(), shared_keys.end()),
                       shared_keys.end());
-    if (!(pushed_->global_ring == table->global_ring)) {
+    // An empty ring on either side hands nothing off (a cluster's first
+    // KN can join after a push with no KNs, e.g. a DPM recovery round
+    // that ran before the cluster's KNs started).
+    if (!pushed_->global_ring.empty() && !table->global_ring.empty() &&
+        !(pushed_->global_ring == table->global_ring)) {
       handoffs = table->global_ring.HandoffsFrom(pushed_->global_ring);
     }
   }

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "dpm/log.h"
@@ -185,6 +186,33 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
   RepairStats stats;
   if (replication_factor_ < 2 || num_alive() < 2) return stats;
 
+  // Merges every alive node's queued repair batches into its index.
+  auto settle = [&]() -> Status {
+    for (int i = 0; i < num_nodes(); ++i) {
+      if (!alive(i)) continue;
+      DINOMO_RETURN_IF_ERROR(
+          nodes_[static_cast<size_t>(i)]->DrainOwner(kRepairOwner));
+    }
+    return Status::Ok();
+  };
+  // A failed earlier attempt (the caller retries transient faults) may
+  // have left repair batches that merge threads are still applying;
+  // settle them before any index is walked.
+  DINOMO_RETURN_IF_ERROR(settle());
+  // Then snapshot every source before the first repair batch is
+  // submitted: ForEach is quiescent-only, and a submitted batch can merge
+  // into a node that is itself a source.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> sources(
+      static_cast<size_t>(num_nodes()));
+  for (int s_idx = 0; s_idx < num_nodes(); ++s_idx) {
+    if (!alive(s_idx)) continue;
+    nodes_[static_cast<size_t>(s_idx)]->index()->ForEach(
+        [&](uint64_t kh, pm::PmPtr vp) {
+          sources[static_cast<size_t>(s_idx)].emplace_back(
+              kh, static_cast<uint64_t>(vp));
+        });
+  }
+
   // Open repair segment per destination mirror.
   struct MirrorBatch {
     LogBuilder batch;
@@ -223,17 +251,8 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
   };
 
   for (int s_idx = 0; s_idx < num_nodes(); ++s_idx) {
-    if (!alive(s_idx)) continue;
-    DpmNode* src = nodes_[static_cast<size_t>(s_idx)];
-    // Snapshot first: ForEach is quiescent-only and the repair appends
-    // below mutate the destination indexes, not this one — but keeping
-    // the walk free of RPCs keeps the contract obvious.
-    std::vector<std::pair<uint64_t, uint64_t>> items;
-    src->index()->ForEach([&](uint64_t kh, pm::PmPtr vp) {
-      items.emplace_back(kh, static_cast<uint64_t>(vp));
-    });
-    const pm::PmPool& src_ro = *src->pool();
-    for (const auto& [kh, raw] : items) {
+    const pm::PmPool& src_ro = *nodes_[static_cast<size_t>(s_idx)]->pool();
+    for (const auto& [kh, raw] : sources[static_cast<size_t>(s_idx)]) {
       stats.keys_examined++;
       const ValuePtr vp(raw);
       if (vp.indirect()) continue;  // shared mode is dropped around a kill
@@ -290,11 +309,7 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
     if (!fs.ok()) return fs;
   }
   // Index the copies before traffic resumes.
-  for (int i = 0; i < num_nodes(); ++i) {
-    if (!alive(i)) continue;
-    Status d = nodes_[static_cast<size_t>(i)]->DrainOwner(kRepairOwner);
-    if (!d.ok()) return d;
-  }
+  DINOMO_RETURN_IF_ERROR(settle());
   return stats;
 }
 

@@ -171,8 +171,13 @@ void KvsNode::WorkerLoop(int idx) {
       item = queue->TryPop();
       if (!item.has_value()) {
         // Queue drained: group-commit boundary — flush buffered writes.
-        OpResult flush = worker->FlushWrites();
-        (void)flush;
+        // Not while a reconfiguration round holds the node paused: its
+        // quiesce flush already ran, and a batch that flush left buffered
+        // (Busy, a transient fault) must not reach the DPM pool after the
+        // round settled the merges (DpmPool::ReReplicate walks indexes
+        // that only merges mutate). It ships at the first drain after
+        // Resume.
+        if (available()) (void)worker->FlushWrites();
         item = queue->Pop();  // blocks
         if (!item.has_value()) return;  // closed
       }

@@ -9,7 +9,7 @@ namespace dinomo {
 namespace obs {
 
 namespace internal {
-thread_local TraceContext* t_trace_ctx = nullptr;
+constinit thread_local TraceContext* t_trace_ctx = nullptr;
 }  // namespace internal
 
 namespace {

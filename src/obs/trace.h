@@ -296,9 +296,11 @@ class TraceContext {
 /// Thread-local current context, consulted by the fabric on every op.
 /// Inline on purpose: this load is the entire tracing-disabled cost of a
 /// fabric op, and CI gates it at <= 2% of a remote index lookup
-/// (trace.overhead.disabled_pct in micro_index).
+/// (trace.overhead.disabled_pct in micro_index). `constinit` tells every
+/// including unit that the slot needs no dynamic initialization, so an
+/// access is a plain TLS load with no weak init-wrapper check.
 namespace internal {
-extern thread_local TraceContext* t_trace_ctx;
+extern constinit thread_local TraceContext* t_trace_ctx;
 }  // namespace internal
 
 inline TraceContext* CurrentTraceContext() { return internal::t_trace_ctx; }

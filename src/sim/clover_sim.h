@@ -6,6 +6,7 @@
 
 #include "clover/clover.h"
 #include "obs/metrics.h"
+#include "sim/closed_loop.h"
 #include "sim/engine.h"
 #include "workload/ycsb.h"
 
@@ -42,8 +43,9 @@ struct CloverSimOptions {
 /// load balancing is trivial — and every KN caches the same hot keys
 /// redundantly, which is exactly why its hit ratio falls as KNs are added
 /// (Table 6). The metadata server is a 4-worker pool; version-chain walks
-/// and MS RPCs consume the shared link and MS CPU.
-class CloverSim {
+/// and MS RPCs consume the shared link and MS CPU. Load comes from the
+/// shared closed-loop driver; this class supplies its Serve step.
+class CloverSim : private ClosedLoop::Server {
  public:
   explicit CloverSim(const CloverSimOptions& options);
   ~CloverSim();
@@ -53,14 +55,15 @@ class CloverSim {
 
   Engine* engine() { return &engine_; }
   clover::CloverStore* store() { return store_.get(); }
+  /// The closed-loop clients: throughput, latency, timelines, and load or
+  /// workload changes.
+  ClosedLoop& clients() { return clients_; }
+  const ClosedLoop& clients() const { return clients_; }
 
   void Preload();
+  /// Runs the closed loop for `duration_us` of virtual time, with the
+  /// metadata server's GC pass cycling alongside.
   void Run(double duration_us, double warmup_us = 0.0);
-
-  double ThroughputMops() const;
-  double AvgLatencyUs() const { return run_latency_.Average(); }
-  double P99LatencyUs() const { return run_latency_.P99(); }
-  const WindowStats& windows() const { return windows_; }
 
   struct Profile {
     double cache_hit_ratio = 0.0;
@@ -70,8 +73,6 @@ class CloverSim {
   Profile CollectProfile() const;
 
   void ScheduleKill(double at_us, int kn_index);
-  void ScheduleLoadChange(double at_us, int client_threads);
-  void ScheduleWorkloadChange(double at_us, const workload::WorkloadSpec& s);
 
   int NumActiveKns() const;
 
@@ -85,20 +86,15 @@ class CloverSim {
     bool failed = false;
     bool routable = true;  // false once clients learned of the failure
   };
-  struct Stream {
-    std::unique_ptr<workload::WorkloadGenerator> gen;
-    bool active = false;
-  };
-
-  void IssueNext(int stream_idx);
-  void ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                 double issue_time, int attempt);
-  void CompleteOp(int stream_idx, double issue_time, double finish);
+  /// Shared-everything routing: round-robin over the KNs clients believe
+  /// alive, then the metadata-server timing model.
+  double Serve(const workload::WorkloadOp& op, const std::string& value,
+               obs::TraceContext* trace,
+               const std::function<void()>& retry) override;
   void GcTick();
 
   CloverSimOptions options_;
   obs::MetricGroup metrics_;  // sim.clover.*
-  obs::HistogramMetric& op_latency_us_;
   obs::Gauge& throughput_mops_;
   obs::Gauge& link_utilization_;
   obs::Gauge& ms_utilization_;
@@ -108,16 +104,10 @@ class CloverSim {
   PoolModel ms_pool_;
 
   std::vector<std::unique_ptr<KnSim>> kns_;
-  std::vector<Stream> streams_;
   uint64_t salt_ = 0;
   uint64_t ops_executed_ = 0;
-
-  WindowStats windows_;
-  Histogram run_latency_;
-  double warmup_until_ = 0.0;
-  double run_until_ = 0.0;
-  uint64_t completed_after_warmup_ = 0;
   bool gc_running_ = false;
+  ClosedLoop clients_;
 };
 
 }  // namespace sim

@@ -24,12 +24,14 @@ DinomoSimOptions WithRegistry(DinomoSimOptions opt) {
   return opt;
 }
 
+
 }  // namespace
 
 DinomoSim::DinomoSim(const DinomoSimOptions& options)
     : options_(WithRegistry(reconfig::ForVariant(options))),
       tracer_(options.tracer != nullptr ? options.tracer
                                         : &obs::Tracer::Global()),
+      trace_pid_(tracer_->enabled() ? tracer_->NextProcessId() : 0),
       metrics_(obs::Scope("sim.dinomo", options.metrics)),
       op_latency_us_(metrics_.histogram("op_latency_us")),
       throughput_mops_(metrics_.gauge("throughput_mops")),
@@ -43,12 +45,20 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
                 options_.kn.num_workers),
       link_(options.dpm.link_profile.bandwidth_gbps),
       dpm_pool_(options.dpm_threads),
-      windows_(options.stats_window_us) {
+      clients_(&engine_, this,
+               {.client_threads = options_.client_threads,
+                .spec = options_.spec,
+                .seed = options_.seed,
+                .pipeline_depth = options_.pipeline_depth,
+                .stats_window_us = options_.stats_window_us,
+                .op_latency_us = &op_latency_us_,
+                .epoch_latency = &epoch_latency_,
+                .tracer = tracer_,
+                .trace_pid = trace_pid_}) {
   if (tracer_->enabled()) {
     // Virtual-time tracing: timestamps come from the engine clock, so a
     // trace replays bit-identically for a given seed. The clock override
     // is restored in the destructor.
-    trace_pid_ = tracer_->NextProcessId();
     tracer_->SetClock([this] { return engine_.now_us(); });
     trace_clock_installed_ = true;
   }
@@ -86,20 +96,13 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
 
   for (int i = 0; i < options_.num_kns; ++i) routing_.AddKn(StartKn());
   reconfig_.PushRouting();
-
-  streams_.resize(options_.client_threads);
-  for (int i = 0; i < options_.client_threads; ++i) {
-    streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-        options_.spec, options_.seed + i);
-  }
 }
 
 DinomoSim::~DinomoSim() {
   if (trace_clock_installed_) {
     // End in-flight traces while the virtual clock is still installed,
     // then restore the wall clock for whoever uses the tracer next.
-    for (Stream& s : streams_) s.traces.clear();
-    open_traces_.clear();
+    clients_.EndTraces();
     tracer_->SetClock(nullptr);
   }
 }
@@ -162,21 +165,10 @@ void DinomoSim::Preload() {
 }
 
 void DinomoSim::Run(double duration_us, double warmup_us) {
-  const double now = engine_.now_us();
-  run_until_ = now + duration_us;
-  warmup_until_ = now + warmup_us;
-  for (int i = 0; i < static_cast<int>(streams_.size()); ++i) {
-    // (Re)prime every stream, not just inactive ones. IssueNext is a
-    // no-op while a stream's window is full, but a stream whose last
-    // completion landed exactly on a previous run's end boundary has an
-    // empty window and no pending event — skipping it here would leave it
-    // silent for the rest of the run.
-    streams_[i].active = true;
-    IssueNext(i);
-  }
-  engine_.RunUntil(run_until_);
+  async_worker_ = options_.pipeline_depth > 1;
+  clients_.Run(duration_us, warmup_us);
   const double elapsed = engine_.now_us();
-  throughput_mops_.Set(ThroughputMops());
+  throughput_mops_.Set(clients_.ThroughputMops());
   link_utilization_.Set(link_.Utilization(elapsed));
   dpm_utilization_.Set(dpm_pool_.Utilization(elapsed));
 }
@@ -193,68 +185,9 @@ void DinomoSim::DrainLogs() {
   }
 }
 
-void DinomoSim::IssueNext(int stream_idx) {
-  Stream& s = streams_[stream_idx];
-  // Pipelined closed loop: top the stream's window back up to
-  // pipeline_depth. Depth 1 degenerates to issue-one-await-one.
-  const int depth = std::max(1, options_.pipeline_depth);
-  while (s.active && engine_.now_us() < run_until_ && s.in_flight < depth) {
-    const workload::WorkloadOp op = s.gen->Next();
-    obs::TraceContext* trace = nullptr;
-    if (tracer_->ShouldSample()) {
-      s.traces.push_back(std::make_unique<obs::TraceContext>(
-          tracer_, op.type == workload::OpType::kRead    ? "get"
-                   : op.type == workload::OpType::kScan ? "scan"
-                                                        : "put"));
-      s.traces.back()->set_pid(trace_pid_);
-      trace = s.traces.back().get();
-    }
-    s.in_flight++;
-    ExecuteOp(stream_idx, op, engine_.now_us(), 0, trace);
-  }
-}
-
-void DinomoSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                          double issue_time, int attempt,
-                          obs::TraceContext* trace) {
-  if (!streams_[stream_idx].active) {
-    // Deactivated (load change) with this op still rescheduling: drop it
-    // and release its window slot so a later reactivation starts clean.
-    Stream& s = streams_[stream_idx];
-    s.in_flight--;
-    for (auto it = s.traces.begin(); it != s.traces.end(); ++it) {
-      if (it->get() == trace) {
-        s.traces.erase(it);
-        break;
-      }
-    }
-    return;
-  }
-  const double now = engine_.now_us();
-  if (trace != nullptr) trace->FlushWait(now);
-  if (attempt > 100) {
-    // Give up on this op (e.g. prolonged outage); issue the next one so
-    // the closed loop cannot wedge.
-    abandoned_ops_++;
-    CompleteOp(stream_idx, issue_time, now, trace);
-    return;
-  }
-  auto retry = [=, this] {
-    ExecuteOp(stream_idx, op, issue_time, attempt + 1, trace);
-  };
-  const double finish =
-      TryServe(op, streams_[stream_idx].gen->Value(), trace,
-               /*async_worker=*/options_.pipeline_depth > 1, retry);
-  if (finish < 0) return;
-  engine_.ScheduleAt(finish, [=, this] {
-    CompleteOp(stream_idx, issue_time, finish, trace);
-  });
-}
-
-double DinomoSim::TryServe(const workload::WorkloadOp& op,
-                           const std::string& put_value,
-                           obs::TraceContext* trace, bool async_worker,
-                           const std::function<void()>& retry) {
+double DinomoSim::Serve(const workload::WorkloadOp& op,
+                        const std::string& value, obs::TraceContext* trace,
+                        const std::function<void()>& retry) {
   const double now = engine_.now_us();
   auto table = routing_.Snapshot();
   if (table->global_ring.empty()) {
@@ -296,7 +229,7 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
         break;
       case workload::OpType::kUpdate:
       case workload::OpType::kInsert:
-        r = ws->worker->Put(op.key, put_value);
+        r = ws->worker->Put(op.key, value);
         break;
       case workload::OpType::kScan: {
         std::vector<kn::ScanRow> rows;
@@ -333,56 +266,15 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
     return -1.0;
   }
 
-  // Time the operation: worker CPU, then the network (latency per round
-  // trip + the shared pipe for payload bytes), plus any DPM processor
-  // time for two-sided ops (same pool as the merge threads).
-  const net::LinkProfile& profile = options_.dpm.link_profile;
+  // Two-sided ops' DPM processor time shares the pool with the merge
+  // threads.
   const double start = std::max(now, ws->free_until);
-  const double cpu_done = start + r.cpu_us;
-  double after_link = cpu_done;
-  if (r.cost.wire_bytes > 0) {
-    after_link = link_.Reserve(cpu_done, r.cost.wire_bytes);
-  }
-  double finish = after_link + r.cost.round_trips * profile.rt_latency_us +
-                  r.cost.extra_latency_us;
-  if (r.cost.dpm_cpu_us > 0) {
-    finish = std::max(
-        finish, dpm_pool_.Reserve(cpu_done, r.cost.dpm_cpu_us) +
-                    profile.rt_latency_us);
-  }
-  // An asynchronously-served op (pipelined closed-loop client, or any
-  // open-loop op) occupies the worker core for its CPU portion only —
-  // round trips ride out while the next queued op executes. The classic
-  // submit-and-wait client holds the worker until its op's network time
-  // has fully elapsed.
-  const double core_free = async_worker ? cpu_done : finish;
+  const OpTiming t = TimeOp(start, r.cpu_us, r.cost, options_.dpm.link_profile,
+                            &link_, &dpm_pool_);
+  const double core_free = async_worker_ ? t.cpu_done : t.finish;
   ws->free_until = core_free;
   k->busy_us_epoch += core_free - start;
-  return finish;
-}
-
-void DinomoSim::CompleteOp(int stream_idx, double issue_time, double finish,
-                           obs::TraceContext* trace) {
-  Stream& s = streams_[stream_idx];
-  if (trace != nullptr) {
-    trace->EndRequest();
-    for (auto it = s.traces.begin(); it != s.traces.end(); ++it) {
-      if (it->get() == trace) {
-        s.traces.erase(it);
-        break;
-      }
-    }
-  }
-  s.in_flight--;
-  const double latency = finish - issue_time;
-  windows_.Record(finish, latency);
-  epoch_latency_.Add(latency);
-  if (finish >= warmup_until_) {
-    run_latency_.Add(latency);
-    op_latency_us_.Record(latency);
-    completed_after_warmup_++;
-  }
-  IssueNext(stream_idx);
+  return t.finish;
 }
 
 void DinomoSim::PumpMerges() {
@@ -433,10 +325,7 @@ void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
   open_value_.assign(opts.value_size, 'o');
   open_run_until_ = now + duration_us;
   open_warmup_until_ = now + warmup_us;
-  // Closed-loop bookkeeping (MnodeEpoch's rescheduling guard) keys off
-  // run_until_; keep it in sync so both engines can share hooks.
-  run_until_ = open_run_until_;
-  warmup_until_ = open_warmup_until_;
+  async_worker_ = true;
   open_exhausted_ = false;
   open_in_flight_ = 0;
   open_interval_latency_.Reset();
@@ -493,14 +382,7 @@ void DinomoSim::OpenIssue(const load::TimedOp& timed) {
   auto op = std::make_shared<OpenOp>();
   op->op = timed.op;
   op->intended_us = timed.intended_us;
-  if (tracer_->ShouldSample()) {
-    open_traces_.push_back(std::make_unique<obs::TraceContext>(
-        tracer_, op->op.type == workload::OpType::kRead   ? "get"
-                 : op->op.type == workload::OpType::kScan ? "scan"
-                                                          : "put"));
-    open_traces_.back()->set_pid(trace_pid_);
-    op->trace = open_traces_.back().get();
-  }
+  op->trace = clients_.StartTrace(op->op.type);
   open_in_flight_++;
   OpenExecute(std::move(op));
 }
@@ -508,12 +390,10 @@ void DinomoSim::OpenIssue(const load::TimedOp& timed) {
 void DinomoSim::OpenExecute(std::shared_ptr<OpenOp> op) {
   const double now = engine_.now_us();
   if (op->trace != nullptr) op->trace->FlushWait(now);
-  if (op->attempt > 100) {
-    // Same retry budget as the closed loop: a prolonged outage must not
-    // pin ops forever.
+  if (op->attempt >= kMaxAttempts) {
     open_stats_->abandoned++;
     open_in_flight_--;
-    OpenDropTrace(op->trace);
+    clients_.EndTrace(op->trace);
     return;
   }
   // Service latency measures from the dispatch that got served; every
@@ -524,8 +404,7 @@ void DinomoSim::OpenExecute(std::shared_ptr<OpenOp> op) {
     self->attempt++;
     OpenExecute(self);
   };
-  const double finish =
-      TryServe(op->op, open_value_, op->trace, /*async_worker=*/true, retry);
+  const double finish = Serve(op->op, open_value_, op->trace, retry);
   if (finish < 0) return;
   engine_.ScheduleAt(finish,
                      [this, self, finish] { OpenComplete(self, finish); });
@@ -533,10 +412,7 @@ void DinomoSim::OpenExecute(std::shared_ptr<OpenOp> op) {
 
 void DinomoSim::OpenComplete(const std::shared_ptr<OpenOp>& op,
                              double finish) {
-  if (op->trace != nullptr) {
-    op->trace->EndRequest();
-    OpenDropTrace(op->trace);
-  }
+  clients_.EndTrace(op->trace);
   open_in_flight_--;
   OpenLoopStats& stats = *open_stats_;
   stats.completed++;
@@ -549,16 +425,6 @@ void DinomoSim::OpenComplete(const std::shared_ptr<OpenOp>& op,
     stats.service_latency.Add(service_lat);
     stats.completed_after_warmup++;
     op_latency_us_.Record(intended_lat);
-  }
-}
-
-void DinomoSim::OpenDropTrace(obs::TraceContext* trace) {
-  if (trace == nullptr) return;
-  for (auto it = open_traces_.begin(); it != open_traces_.end(); ++it) {
-    if (it->get() == trace) {
-      open_traces_.erase(it);
-      return;
-    }
   }
 }
 
@@ -601,11 +467,6 @@ void DinomoSim::AutoscalerEval() {
     engine_.ScheduleAfter(autoscaler_interval_us_,
                           [this] { AutoscalerEval(); });
   }
-}
-
-double DinomoSim::ThroughputMops() const {
-  const double span = run_until_ - warmup_until_;
-  return span > 0 ? completed_after_warmup_ / span : 0.0;
 }
 
 void DinomoSim::ResetProfileWindow() {
@@ -665,49 +526,6 @@ DinomoSim::Profile DinomoSim::CollectProfile() const {
 
 // ----- Elasticity hooks -----
 
-void DinomoSim::ScheduleLoadChange(double at_us, int client_threads) {
-  engine_.ScheduleAt(at_us, [this, client_threads] {
-    const int current = static_cast<int>(streams_.size());
-    // Reactivate parked streams first: a previous load drop deactivates
-    // streams without removing them, so a later rise back to (or below)
-    // the old count must wake them rather than allocate. Pre-fix, a
-    // down-then-up schedule took the else branch on the way back up
-    // (deactivated streams still count toward streams_.size()) and
-    // reactivated nothing — offered load never recovered.
-    for (int i = 0; i < std::min(client_threads, current); ++i) {
-      if (!streams_[i].active) {
-        streams_[i].active = true;
-        IssueNext(i);
-      }
-    }
-    if (client_threads > current) {
-      for (int i = current; i < client_threads; ++i) {
-        Stream s;
-        s.gen = std::make_unique<workload::WorkloadGenerator>(
-            options_.spec, options_.seed + 7000 + i);
-        s.active = true;
-        streams_.push_back(std::move(s));
-        IssueNext(static_cast<int>(streams_.size()) - 1);
-      }
-    } else {
-      for (int i = client_threads; i < current; ++i) {
-        streams_[i].active = false;  // dies after its in-flight op
-      }
-    }
-  });
-}
-
-void DinomoSim::ScheduleWorkloadChange(double at_us,
-                                       const workload::WorkloadSpec& spec) {
-  engine_.ScheduleAt(at_us, [this, spec] {
-    options_.spec = spec;
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-          spec, options_.seed + 5000 + i);
-    }
-  });
-}
-
 void DinomoSim::ScheduleKill(double at_us, int kn_index) {
   engine_.ScheduleAt(at_us, [this, kn_index] { DoKill(kn_index); });
 }
@@ -736,7 +554,8 @@ void DinomoSim::MnodeEpoch() {
   epoch_latency_.Reset();
   epoch_started_ = now;
   reconfig_.RunPolicy(metrics, now / 1e6);
-  if (now < run_until_) {
+  // Epochs run while either loop does.
+  if (now < std::max(clients_.run_until(), open_run_until_)) {
     engine_.ScheduleAfter(options_.mnode_epoch_us, [this] { MnodeEpoch(); });
   }
 }

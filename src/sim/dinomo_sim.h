@@ -19,6 +19,7 @@
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/closed_loop.h"
 #include "sim/engine.h"
 #include "workload/ycsb.h"
 
@@ -88,8 +89,9 @@ struct DinomoSimOptions {
 /// discrete-event engine: real KnWorker / DpmNode / cache / index code,
 /// virtual time. Used by the Figure-5/6/7/8 and Table-6 harnesses.
 /// Reconfigurations run reconfig::Protocol with this class as its
-/// virtual-time runtime.
-class DinomoSim : private reconfig::Runtime {
+/// virtual-time runtime; closed-loop load comes from the shared driver,
+/// to which this class supplies its Serve step.
+class DinomoSim : private reconfig::Runtime, private ClosedLoop::Server {
  public:
   explicit DinomoSim(const DinomoSimOptions& options);
   ~DinomoSim();
@@ -104,9 +106,10 @@ class DinomoSim : private reconfig::Runtime {
   cluster::RoutingService* routing() { return &routing_; }
   /// Non-null iff options.faults was non-empty.
   net::FaultInjector* fault_injector() { return injector_.get(); }
-  /// Closed-loop ops abandoned after exhausting their retry budget
-  /// (prolonged outages only; the chaos harness inspects this).
-  uint64_t abandoned_ops() const { return abandoned_ops_; }
+  /// The closed-loop clients: throughput, latency, timelines, abandoned
+  /// ops, and load or workload changes.
+  ClosedLoop& clients() { return clients_; }
+  const ClosedLoop& clients() const { return clients_; }
 
   /// Loads spec.record_count records (no virtual time elapses) and
   /// settles all merges. Caches end up warm, as after the paper's load +
@@ -124,12 +127,6 @@ class DinomoSim : private reconfig::Runtime {
   void DrainLogs();
 
   // ----- Results -----
-
-  /// Post-warmup average throughput in Mops/s.
-  double ThroughputMops() const;
-  double AvgLatencyUs() const { return run_latency_.Average(); }
-  double P99LatencyUs() const { return run_latency_.P99(); }
-  const WindowStats& windows() const { return windows_; }
 
   /// Restarts the profile window: fabric round-trip counters, worker op
   /// counters, and cache hit/miss stats all reset to zero (warm state —
@@ -160,17 +157,12 @@ class DinomoSim : private reconfig::Runtime {
 
   // ----- Elasticity experiment hooks (Figures 6-8) -----
 
-  /// Changes the number of active closed-loop client threads at `at_us`.
-  void ScheduleLoadChange(double at_us, int client_threads);
   /// Fail-stop kills the idx-th active KN at `at_us`.
   void ScheduleKill(double at_us, int kn_index);
   /// Fail-stop kills DPM pool node `node` at `at_us`: mirror promotion,
   /// KN failover recovery, and (after the detection delay) the protocol's
   /// DPM recovery round, as Cluster::KillDpm runs it.
   void ScheduleDpmKill(double at_us, int node);
-  /// Switches every client's workload spec at `at_us` (e.g. Zipf 0.5 ->
-  /// Zipf 2 for the load-balancing experiment).
-  void ScheduleWorkloadChange(double at_us, const workload::WorkloadSpec& s);
   /// Enables the M-node: a policy epoch every options.mnode_epoch_us.
   void EnableMnode();
 
@@ -251,18 +243,6 @@ class DinomoSim : private reconfig::Runtime {
     double busy_us_epoch = 0.0;  // occupancy accounting
   };
 
-  struct Stream {
-    std::unique_ptr<workload::WorkloadGenerator> gen;
-    bool active = false;
-    /// Ops this stream currently has in flight (≤ pipeline_depth).
-    int in_flight = 0;
-    /// Traces of sampled in-flight ops (one per op with depth > 1; spans
-    /// survive reschedules: Busy parks and routing retries become wait
-    /// spans). Owned here so teardown can end them while the virtual
-    /// clock is still installed; the op closures hold raw pointers.
-    std::vector<std::unique_ptr<obs::TraceContext>> traces;
-  };
-
   KnSim* FindKn(uint64_t kn_id);
 
   /// One in-flight open-loop op. Held by shared_ptr in the engine's event
@@ -273,24 +253,15 @@ class DinomoSim : private reconfig::Runtime {
     /// When the attempt that finally got served was dispatched.
     double dispatch_us = 0.0;
     int attempt = 0;
-    obs::TraceContext* trace = nullptr;  // owned by open_traces_
+    obs::TraceContext* trace = nullptr;  // owned by clients_
   };
 
-  void IssueNext(int stream_idx);
-  void ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                 double issue_time, int attempt, obs::TraceContext* trace);
-  void CompleteOp(int stream_idx, double issue_time, double finish,
-                  obs::TraceContext* trace);
-  /// Shared service core of both driver loops: routes the op, runs the
-  /// real worker code, applies the timing model, and returns the finish
-  /// time. Any disposition that cannot serve now (empty ring, dead KN,
-  /// reconfiguration window, Busy park, wrong owner) schedules `retry`
-  /// itself and returns a negative value. `async_worker` selects the
-  /// pipelined-server occupancy model (worker core busy for the CPU
-  /// portion only).
-  double TryServe(const workload::WorkloadOp& op, const std::string& put_value,
-                  obs::TraceContext* trace, bool async_worker,
-                  const std::function<void()>& retry);
+  /// Service step of both loops (ClosedLoop::Server): routes the op, runs
+  /// the real worker code and applies the timing model. Spans survive
+  /// reschedules: Busy parks and routing retries become wait spans.
+  double Serve(const workload::WorkloadOp& op, const std::string& value,
+               obs::TraceContext* trace,
+               const std::function<void()>& retry) override;
   void PumpMerges();
   void OnMergeFinished(const dpm::MergeAck& ack);
 
@@ -299,7 +270,6 @@ class DinomoSim : private reconfig::Runtime {
   void OpenIssue(const load::TimedOp& timed);
   void OpenExecute(std::shared_ptr<OpenOp> op);
   void OpenComplete(const std::shared_ptr<OpenOp>& op, double finish);
-  void OpenDropTrace(obs::TraceContext* trace);
   void AutoscalerEval();
 
   // M-node and fault enactment in virtual time.
@@ -344,20 +314,19 @@ class DinomoSim : private reconfig::Runtime {
 
   std::vector<std::unique_ptr<KnSim>> kns_;
   uint64_t next_kn_id_ = 1;
-
-  std::vector<Stream> streams_;
   uint64_t salt_ = 0;
+  /// Worker occupancy model of the run in progress. The open loop and a
+  /// pipelined closed loop serve asynchronously: the worker core is busy
+  /// for the op's CPU portion only, and round trips ride out while the
+  /// next queued op executes. The depth-1 closed loop holds the worker
+  /// until the op's network time has elapsed.
+  bool async_worker_ = false;
 
-  WindowStats windows_;
-  Histogram run_latency_;    // post-warmup
-  Histogram epoch_latency_;  // since last policy epoch
-  double warmup_until_ = 0.0;
-  double run_until_ = 0.0;
-  uint64_t completed_after_warmup_ = 0;
+  Histogram epoch_latency_;  // closed loop, since last policy epoch
+  ClosedLoop clients_;
 
   bool mnode_enabled_ = false;
   double epoch_started_ = 0.0;
-  uint64_t abandoned_ops_ = 0;
 
   // Open-loop run state (live only inside RunOpenLoop).
   load::TrafficSource* open_source_ = nullptr;
@@ -367,9 +336,6 @@ class DinomoSim : private reconfig::Runtime {
   double open_warmup_until_ = 0.0;
   bool open_exhausted_ = true;
   uint64_t open_in_flight_ = 0;
-  /// Traces of sampled in-flight open-loop ops (see Stream::traces for
-  /// the ownership rationale).
-  std::vector<std::unique_ptr<obs::TraceContext>> open_traces_;
   std::unique_ptr<mnode::SloAutoscaler> autoscaler_;
   double autoscaler_interval_us_ = 0.0;
   /// Intended-basis latency + arrivals since the last autoscaler eval.

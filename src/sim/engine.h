@@ -9,6 +9,7 @@
 
 #include "common/histogram.h"
 #include "common/logging.h"
+#include "net/fabric.h"
 
 namespace dinomo {
 namespace sim {
@@ -87,7 +88,6 @@ class LinkModel {
   double Utilization(double elapsed_us) const {
     return elapsed_us > 0 ? busy_us_ / elapsed_us : 0.0;
   }
-  void ResetBusy() { busy_us_ = 0.0; }
 
  private:
   double bytes_per_us_;
@@ -116,25 +116,42 @@ class PoolModel {
     return next_free_[best];
   }
 
-  /// Earliest time any server becomes free.
-  double EarliestFree() const {
-    double best = next_free_[0];
-    for (double t : next_free_) best = std::min(best, t);
-    return best;
-  }
-
-  int size() const { return static_cast<int>(next_free_.size()); }
-  double busy_us() const { return busy_us_; }
   double Utilization(double elapsed_us) const {
     return elapsed_us > 0 ? busy_us_ / (elapsed_us * next_free_.size())
                           : 0.0;
   }
-  void ResetBusy() { busy_us_ = 0.0; }
 
  private:
   std::vector<double> next_free_;
   double busy_us_ = 0.0;
 };
+
+/// Modelled timing of one served op.
+struct OpTiming {
+  double cpu_done;  // the serving core's CPU portion ends
+  double finish;    // the reply reaches the client
+};
+
+/// Times an op whose serving core starts it at `start`: its CPU, then its
+/// payload on the shared `link`, then its round trips. Server-side CPU
+/// (two-sided ops) runs on `servers` from the end of the CPU portion and
+/// costs one more round trip; the op finishes when both paths have.
+inline OpTiming TimeOp(double start, double cpu_us, const net::OpCost& cost,
+                       const net::LinkProfile& profile, LinkModel* link,
+                       PoolModel* servers) {
+  const double cpu_done = start + cpu_us;
+  double after_link = cpu_done;
+  if (cost.wire_bytes > 0) {
+    after_link = link->Reserve(cpu_done, cost.wire_bytes);
+  }
+  double finish = after_link + cost.round_trips * profile.rt_latency_us +
+                  cost.extra_latency_us;
+  if (cost.dpm_cpu_us > 0) {
+    finish = std::max(finish, servers->Reserve(cpu_done, cost.dpm_cpu_us) +
+                                  profile.rt_latency_us);
+  }
+  return OpTiming{cpu_done, finish};
+}
 
 /// Time-series collector: completed operations and latency, bucketed into
 /// fixed windows of virtual time (the 10-second samples of the paper's

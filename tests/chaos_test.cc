@@ -28,8 +28,12 @@
 
 #include "common/backoff.h"
 #include "core/cluster.h"
+#include "dpm/log.h"
+#include "kn/kn_worker.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
+#include "sim/dinomo_sim.h"
+#include "workload/ycsb.h"
 
 namespace dinomo {
 namespace {
@@ -582,6 +586,87 @@ TEST(ChaosReplicationTest, DpmKillSoakPreservesAckedWrites) {
     EXPECT_GE(reg.CounterValue("dpm.pool.promotions"), 1u);
     EXPECT_GT(reg.GaugeValue("dpm.pool.recovery_window_us"), 0.0);
     EXPECT_EQ(reg.CounterValue("fault.hung_requests"), 0u);
+  }
+}
+
+// True iff the key resolves to a decodable committed entry on `node`
+// (merges drained first by the caller).
+bool KeyResolves(dpm::DpmNode* node, uint64_t key_hash) {
+  const pm::PmPtr raw = node->index()->Lookup(key_hash);
+  if (raw == pm::kNullPmPtr) return false;
+  const dpm::ValuePtr vp(raw);
+  std::string buf(vp.entry_size(), '\0');
+  node->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  dpm::LogRecord rec;
+  size_t consumed = 0;
+  return dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok();
+}
+
+// The DPM kill in virtual time: a small DinomoSim on a replicated pool
+// (4 nodes, rf=2) fail-stops one DPM node at a seed-dependent instant
+// while the closed loop runs. The audit is fig8's DINOMO+dpmkill pass:
+// after the KN log buffers are flushed and every merge is drained, each
+// preloaded record (all acked; later updates only overwrite) resolves on
+// its current primary and on its mirror.
+TEST(ChaosReplicationTest, SimDpmKillSoakPreservesAckedWrites) {
+  const int kSeeds = SoakSeeds();
+  constexpr uint64_t kRecords = 1000;
+  constexpr double kRunUs = 60e3;
+
+  for (uint64_t seed = 1; seed <= static_cast<uint64_t>(kSeeds); ++seed) {
+    SCOPED_TRACE("sim dpm-kill seed " + std::to_string(seed));
+    obs::MetricsRegistry reg;
+    sim::DinomoSimOptions opt;
+    opt.num_kns = 2;
+    opt.dpm.pool_size = 16 * kMiB;  // x4 nodes
+    opt.dpm.index_log2_buckets = 8;
+    opt.dpm.segment_size = 256 * 1024;
+    opt.dpm_nodes = 4;
+    opt.replication_factor = 2;
+    opt.kn.num_workers = 2;
+    opt.kn.cache_bytes = 1 * kMiB;
+    opt.dpm_threads = 2;
+    opt.client_threads = 8;
+    opt.spec = workload::WorkloadSpec::WriteHeavyUpdate(kRecords, 0.99);
+    opt.spec.value_size = 128;
+    opt.request_timeout_us = 10e3;
+    opt.seed = seed;
+    opt.metrics = &reg;
+    const int victim = static_cast<int>(seed % 4);
+    opt.faults.seed = seed;
+    // Killed 10-40 ms in, so detection (5 ms) and recovery land in the run.
+    opt.faults.DpmFailStop(victim, /*at_us=*/10e3 + (seed * 7919) % 30'000);
+    sim::DinomoSim sim(opt);
+    sim.Preload();
+    sim.Run(kRunUs);
+
+    dpm::DpmPool* pool = sim.pool();
+    ASSERT_FALSE(pool->alive(victim));
+    EXPECT_EQ(reg.CounterValue("fault.dpm_failstops"), 1u);
+    EXPECT_EQ(reg.CounterValue("dpm.pool.promotions"), 1u);
+    EXPECT_GT(reg.GaugeValue("dpm.pool.recovery_window_us"), 0.0);
+    EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
+
+    pool->SetFaultInjector(nullptr);
+    sim.DrainLogs();
+    for (int n = 0; n < pool->num_nodes(); ++n) {
+      if (!pool->alive(n)) continue;
+      ASSERT_TRUE(pool->node(n)->merge()->DrainAll().ok()) << "node " << n;
+    }
+    uint64_t lost = 0;
+    uint64_t unmirrored = 0;
+    for (uint64_t rec = 0; rec < kRecords; ++rec) {
+      const uint64_t kh = kn::KeyHash(workload::KeyForRecord(rec));
+      const dpm::DpmPlacement pl = pool->PlacementOf(kh);
+      if (!pool->alive(pl.primary) ||
+          !KeyResolves(pool->node(pl.primary), kh)) {
+        lost++;
+      } else if (pl.mirror < 0 || !KeyResolves(pool->node(pl.mirror), kh)) {
+        unmirrored++;
+      }
+    }
+    EXPECT_EQ(lost, 0u);
+    EXPECT_EQ(unmirrored, 0u);
   }
 }
 

@@ -304,7 +304,10 @@ TEST(ClusterReconfigTest, TrafficContinuesDuringAddKn) {
       i++;
     }
   });
-  // Two scale-outs while traffic flows.
+  // Two scale-outs while traffic flows. On a loaded host the traffic
+  // thread can start after both would have finished; wait for its first
+  // op so the scale-outs overlap traffic.
+  while (ops.load() == 0) std::this_thread::yield();
   ASSERT_TRUE(cluster.AddKn().ok());
   ASSERT_TRUE(cluster.AddKn().ok());
   stop = true;

@@ -65,8 +65,9 @@ RunResult RunOnce(uint64_t seed) {
   sim::DinomoSim sim(SimOptions(seed));
   sim.Preload();
   sim.Run(150e3, 50e3);
-  return RunResult{sim.engine()->executed(), sim.ThroughputMops(),
-                   sim.AvgLatencyUs(), sim.P99LatencyUs(),
+  const sim::ClosedLoop& c = sim.clients();
+  return RunResult{sim.engine()->executed(), c.ThroughputMops(),
+                   c.AvgLatencyUs(), c.P99LatencyUs(),
                    sim.dpm()->fabric()->TotalRoundTrips()};
 }
 
@@ -101,7 +102,8 @@ TEST(DeterminismTest, CloverSimIsDeterministicToo) {
     sim.Preload();
     sim.Run(150e3, 50e3);
     return std::pair<uint64_t, double>(
-        sim.store()->fabric()->TotalRoundTrips(), sim.ThroughputMops());
+        sim.store()->fabric()->TotalRoundTrips(),
+        sim.clients().ThroughputMops());
   };
   const auto a = run();
   const auto b = run();

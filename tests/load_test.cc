@@ -16,6 +16,7 @@
 #include "load/traffic.h"
 #include "mnode/policy.h"
 #include "obs/metrics.h"
+#include "sim/clover_sim.h"
 #include "sim/dinomo_sim.h"
 #include "workload/ycsb.h"
 
@@ -613,14 +614,15 @@ TEST(OpenLoopSimTest, AutoscalerAddsAndRemovesKnsUnderASpike) {
   EXPECT_GE(st.completed + st.in_flight_at_end + st.abandoned, st.offered);
 }
 
-// ----- ScheduleLoadChange regression (down then up) -----
+// ----- Closed-loop driver regressions, both sims -----
 
-TEST(LoadChangeRegressionTest, StreamsReactivateWhenLoadComesBack) {
-  // Pre-fix, a load change *up* only started streams above the previous
-  // count: after 8 -> 2 -> 8, streams 2..7 stayed parked forever and the
-  // "up" phase ran at 2-stream throughput. Compare against a sim that
-  // stays at 2 streams: the re-upped sim must complete measurably more.
-  auto base = [] {
+// The small cluster each sim runs the driver regressions on.
+template <typename Sim>
+struct SmallCluster;
+
+template <>
+struct SmallCluster<sim::DinomoSim> {
+  static sim::DinomoSimOptions Options(int client_threads) {
     sim::DinomoSimOptions opt;
     opt.variant = SystemVariant::kDinomo;
     opt.num_kns = 2;
@@ -630,69 +632,83 @@ TEST(LoadChangeRegressionTest, StreamsReactivateWhenLoadComesBack) {
     opt.kn.num_workers = 2;
     opt.kn.cache_bytes = 2 * kMiB;
     opt.dpm_threads = 2;
-    opt.client_threads = 8;
+    opt.client_threads = client_threads;
     opt.spec = workload::WorkloadSpec::ReadMostlyUpdate(2000, 0.8);
     opt.spec.value_size = 256;
     return opt;
-  };
-
-  sim::DinomoSim re_upped(base());
-  re_upped.Preload();
-  re_upped.ScheduleLoadChange(0.2 * kSecond, 2);
-  re_upped.ScheduleLoadChange(0.4 * kSecond, 8);
-  re_upped.Run(0.8 * kSecond);
-
-  sim::DinomoSim stays_down(base());
-  stays_down.Preload();
-  stays_down.ScheduleLoadChange(0.2 * kSecond, 2);
-  stays_down.Run(0.8 * kSecond);
-
-  uint64_t ops_up = 0, ops_down = 0;
-  for (size_t i = 0; i < re_upped.windows().num_windows(); ++i) {
-    ops_up += re_upped.windows().window(i).completed;
   }
-  for (size_t i = 0; i < stays_down.windows().num_windows(); ++i) {
-    ops_down += stays_down.windows().window(i).completed;
+};
+
+template <>
+struct SmallCluster<sim::CloverSim> {
+  static sim::CloverSimOptions Options(int client_threads) {
+    sim::CloverSimOptions opt;
+    opt.num_kns = 2;
+    opt.workers_per_kn = 2;
+    opt.clover.pool_size = 256 * kMiB;
+    opt.cache_bytes_per_kn = 2 * kMiB;
+    opt.client_threads = client_threads;
+    opt.spec = workload::WorkloadSpec::ReadMostlyUpdate(2000, 0.8);
+    opt.spec.value_size = 256;
+    return opt;
   }
+};
+
+template <typename Sim>
+class LoadChangeRegressionTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<Sim> Make(int client_threads) {
+    auto sim =
+        std::make_unique<Sim>(SmallCluster<Sim>::Options(client_threads));
+    sim->Preload();
+    return sim;
+  }
+  static uint64_t Completed(const Sim& sim) {
+    const sim::WindowStats& w = sim.clients().windows();
+    uint64_t ops = 0;
+    for (size_t i = 0; i < w.num_windows(); ++i) ops += w.window(i).completed;
+    return ops;
+  }
+};
+
+using BothSims = ::testing::Types<sim::DinomoSim, sim::CloverSim>;
+TYPED_TEST_SUITE(LoadChangeRegressionTest, BothSims);
+
+TYPED_TEST(LoadChangeRegressionTest, StreamsReactivateWhenLoadComesBack) {
+  // Pre-fix, a load change *up* only started streams above the previous
+  // count: after 8 -> 2 -> 8, streams 2..7 stayed parked forever and the
+  // "up" phase ran at 2-stream throughput. Compare against a sim that
+  // stays at 2 streams: the re-upped sim must complete measurably more.
+  auto re_upped = this->Make(8);
+  re_upped->clients().ScheduleLoadChange(0.2 * kSecond, 2);
+  re_upped->clients().ScheduleLoadChange(0.4 * kSecond, 8);
+  re_upped->Run(0.8 * kSecond);
+
+  auto stays_down = this->Make(8);
+  stays_down->clients().ScheduleLoadChange(0.2 * kSecond, 2);
+  stays_down->Run(0.8 * kSecond);
+
+  const uint64_t ops_up = this->Completed(*re_upped);
+  const uint64_t ops_down = this->Completed(*stays_down);
   ASSERT_GT(ops_down, 0u);
   // Half the run at 4x the streams: anything close to equal means the
   // reactivation path regressed.
   EXPECT_GT(ops_up, ops_down * 5 / 4);
 }
 
-TEST(LoadChangeRegressionTest, BackToBackRunsKeepEveryStreamLive) {
+TYPED_TEST(LoadChangeRegressionTest, BackToBackRunsKeepEveryStreamLive) {
   // Companion to the reactivation fix: Run() must (re)prime every stream
   // on entry, because a stream whose last completion landed exactly on
   // the previous run's end boundary has an empty window and no pending
   // event — it would otherwise stay silent for the whole second run.
-  sim::DinomoSimOptions opt;
-  opt.variant = SystemVariant::kDinomo;
-  opt.num_kns = 2;
-  opt.dpm.pool_size = 256 * kMiB;
-  opt.dpm.index_log2_buckets = 8;
-  opt.dpm.segment_size = 512 * 1024;
-  opt.kn.num_workers = 2;
-  opt.kn.cache_bytes = 2 * kMiB;
-  opt.dpm_threads = 2;
-  opt.client_threads = 4;
-  opt.spec = workload::WorkloadSpec::ReadMostlyUpdate(2000, 0.8);
-  opt.spec.value_size = 256;
-  sim::DinomoSim sim(opt);
-  sim.Preload();
-  sim.Run(0.2 * kSecond);
-  uint64_t first = 0;
-  for (size_t i = 0; i < sim.windows().num_windows(); ++i) {
-    first += sim.windows().window(i).completed;
-  }
+  auto sim = this->Make(4);
+  sim->Run(0.2 * kSecond);
+  const uint64_t first = this->Completed(*sim);
   ASSERT_GT(first, 0u);
-  sim.Run(0.2 * kSecond);
-  uint64_t total = 0;
-  for (size_t i = 0; i < sim.windows().num_windows(); ++i) {
-    total += sim.windows().window(i).completed;
-  }
+  sim->Run(0.2 * kSecond);
   // The second run contributed real throughput, not a trickle of
   // leftovers from the first run's in-flight window.
-  EXPECT_GT(total, first + first / 2);
+  EXPECT_GT(this->Completed(*sim), first + first / 2);
 }
 
 // ----- OpenLoopRunner (wall clock) -----

@@ -79,7 +79,7 @@ TEST(ReconfigHangTest, SimDpmKillWithMergeInFlight) {
   EXPECT_FALSE(sim.pool()->alive(1));
   EXPECT_EQ(reg.CounterValue("dpm.pool.promotions"), 1u);
   EXPECT_GT(reg.GaugeValue("dpm.pool.recovery_window_us"), 0.0);
-  EXPECT_GT(sim.ThroughputMops(), 0.0);
+  EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
 }
 
 TEST(ReconfigHangTest, SimDrainLogsAfterOpenLoopWithMergeInFlight) {
@@ -433,6 +433,20 @@ TEST(ReconfigPushTest, ClusterCachesHoldOnlyOwnedKeysAfterEveryPush) {
   };
   RunPushScript(d);
   cluster.Stop();
+}
+
+TEST(ReconfigPushTest, FirstKnJoinsAfterAPushWithNoKns) {
+  // A push can happen before any KN exists: in the threaded cluster the
+  // fault enactor may run a DPM recovery round before Start adds the
+  // KNs. The next push then compares against an empty ring.
+  obs::MetricsRegistry reg;
+  sim::DinomoSimOptions opt = SimOptions(&reg);
+  opt.num_kns = 0;
+  opt.client_threads = 0;
+  sim::DinomoSim sim(opt);
+  ASSERT_TRUE(sim.reconfig()->AddKn().ok());
+  ASSERT_TRUE(sim.reconfig()->AddKn().ok());
+  EXPECT_EQ(sim.NumActiveKns(), 2);
 }
 
 TEST(ReconfigPushTest, SimCachesHoldOnlyOwnedKeysAfterEveryPush) {

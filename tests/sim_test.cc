@@ -109,9 +109,9 @@ TEST(DinomoSimTest, ClosedLoopMakesProgress) {
   DinomoSim sim(SmallSim(SystemVariant::kDinomo, 2));
   sim.Preload();
   sim.Run(/*duration_us=*/200e3, /*warmup_us=*/50e3);
-  EXPECT_GT(sim.ThroughputMops(), 0.0);
-  EXPECT_GT(sim.AvgLatencyUs(), 0.0);
-  EXPECT_GE(sim.P99LatencyUs(), sim.AvgLatencyUs());
+  EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
+  EXPECT_GT(sim.clients().AvgLatencyUs(), 0.0);
+  EXPECT_GE(sim.clients().P99LatencyUs(), sim.clients().AvgLatencyUs());
 }
 
 TEST(DinomoSimTest, ProfileIsPlausible) {
@@ -129,7 +129,7 @@ TEST(DinomoSimTest, MoreKnsMoreThroughput) {
     DinomoSim sim(SmallSim(SystemVariant::kDinomo, kns));
     sim.Preload();
     sim.Run(200e3, 50e3);
-    return sim.ThroughputMops();
+    return sim.clients().ThroughputMops();
   };
   const double t1 = run(1);
   const double t4 = run(4);
@@ -155,7 +155,7 @@ TEST(DinomoSimTest, DinomoNWorksAndScales) {
   DinomoSim sim(SmallSim(SystemVariant::kDinomoN, 2));
   sim.Preload();
   sim.Run(200e3, 50e3);
-  EXPECT_GT(sim.ThroughputMops(), 0.0);
+  EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
 }
 
 TEST(DinomoSimTest, ShortScanWorkloadMakesProgress) {
@@ -169,7 +169,7 @@ TEST(DinomoSimTest, ShortScanWorkloadMakesProgress) {
   DinomoSim sim(opt);
   sim.Preload();
   sim.Run(200e3, 50e3);
-  EXPECT_GT(sim.ThroughputMops(), 0.0);
+  EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
   EXPECT_GT(sim.CollectProfile().scans, 0u);
 }
 
@@ -182,7 +182,7 @@ TEST(DinomoSimTest, KillKnDipsThenRecovers) {
   sim.Run(/*duration_us=*/1500e3, /*warmup_us=*/0);
   EXPECT_EQ(sim.NumActiveKns(), 3);
 
-  const auto& w = sim.windows();
+  const auto& w = sim.clients().windows();
   ASSERT_GE(w.num_windows(), 24u);
   // Steady state before the kill vs the dip right after vs recovery.
   const double before = w.ThroughputMops(8);   // 400-450 ms
@@ -226,9 +226,9 @@ TEST(DinomoSimTest, LoadChangeTakesEffect) {
   opt.stats_window_us = 100e3;
   DinomoSim sim(opt);
   sim.Preload();
-  sim.ScheduleLoadChange(500e3, 16);
+  sim.clients().ScheduleLoadChange(500e3, 16);
   sim.Run(1e6, 0);
-  const auto& w = sim.windows();
+  const auto& w = sim.clients().windows();
   ASSERT_GE(w.num_windows(), 10u);
   EXPECT_GT(w.ThroughputMops(8), w.ThroughputMops(3) * 1.5);
 }
@@ -251,7 +251,7 @@ TEST(CloverSimTest, ClosedLoopMakesProgress) {
   CloverSim sim(SmallClover(2));
   sim.Preload();
   sim.Run(200e3, 50e3);
-  EXPECT_GT(sim.ThroughputMops(), 0.0);
+  EXPECT_GT(sim.clients().ThroughputMops(), 0.0);
   auto profile = sim.CollectProfile();
   EXPECT_GT(profile.ops, 0u);
   EXPECT_GT(profile.rts_per_op, 0.9);  // shortcut-only: >= 1 RT per read
@@ -265,7 +265,7 @@ TEST(CloverSimTest, KillBarelyDisturbsClover) {
   sim.ScheduleKill(500e3, 1);
   sim.Run(1500e3, 0);
   EXPECT_EQ(sim.NumActiveKns(), 3);
-  const auto& w = sim.windows();
+  const auto& w = sim.clients().windows();
   ASSERT_GE(w.num_windows(), 24u);
   // Shared-everything: after the membership update the rest absorb the
   // load without reorganization.
