@@ -115,6 +115,14 @@ SIM_BENCHES = {
 # end), despite latencies being measured from intended send.
 STORM_MIN_DELIVERED_RATIO = 0.95
 
+# fig7_load_balancing shape gate (the only bench whose writes go through
+# the selectively-replicated shared-slot path): after the hot-key switch,
+# DINOMO's steady-state throughput must stay at least these multiples of
+# DINOMO-N's and Clover's. Measured at --quick: 0.655 / 0.368 / 0.177
+# Mops, i.e. 1.78x and 3.70x.
+FIG7_MIN_OVER_DINOMO_N = 1.5
+FIG7_MIN_OVER_CLOVER = 2.0
+
 
 # Metric-name prefixes that measure the host rather than the model: the
 # tracing-overhead gauges micro_index times on the wall clock.
@@ -661,6 +669,34 @@ def check_storm_autoscaling(path, doc):
     return ok
 
 
+def check_fig7_load_balancing(path, doc):
+    """Shape gate for bench/fig7_load_balancing: selective replication
+    (DINOMO) must beat DINOMO-N's data reorganisation and Clover on
+    steady-state throughput after the hot-key switch."""
+    if doc.get("bench") != "fig7_load_balancing":
+        return True
+    tail = {}
+    for row in doc.get("results", []):
+        if isinstance(row, dict) and isinstance(row.get("tail_mops"),
+                                                (int, float)):
+            tail[row.get("system")] = row["tail_mops"]
+    missing = [s for s in ("dinomo", "dinomo_n", "clover") if s not in tail]
+    if missing:
+        return fail(f"{path}: no tail_mops row for {missing}")
+    ok = True
+    for other, bound in (("dinomo_n", FIG7_MIN_OVER_DINOMO_N),
+                         ("clover", FIG7_MIN_OVER_CLOVER)):
+        if tail["dinomo"] < bound * tail[other]:
+            ok = fail(f"{path}: dinomo tail_mops {tail['dinomo']:.3f} < "
+                      f"{bound}x {other} {tail[other]:.3f} — selective "
+                      "replication lost its load-balancing advantage")
+    if ok:
+        print(f"ok: {path}: fig7 tail Mops dinomo {tail['dinomo']:.3f} = "
+              f"{tail['dinomo'] / tail['dinomo_n']:.2f}x dinomo_n, "
+              f"{tail['dinomo'] / tail['clover']:.2f}x clover")
+    return ok
+
+
 def check_expectations(path, doc):
     key = (doc.get("bench"), bool(doc.get("quick")))
     expectations = EXPECTATIONS.get(key)
@@ -719,7 +755,8 @@ def main(argv):
                         check_faults, check_contention, check_replication,
                         check_trace_metrics, check_expectations,
                         check_table5_regression, check_pipelined_client,
-                        check_ycsb_e_scans, check_storm_autoscaling):
+                        check_ycsb_e_scans, check_storm_autoscaling,
+                        check_fig7_load_balancing):
             if not checker(path, doc):
                 ok = False
         if ok:

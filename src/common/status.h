@@ -153,6 +153,13 @@ class Result {
   T value_{};
 };
 
+/// The status of a Status or a Result, for code generic over both.
+inline const Status& GetStatus(const Status& s) { return s; }
+template <typename T>
+const Status& GetStatus(const Result<T>& r) {
+  return r.status();
+}
+
 /// Propagates a non-OK status to the caller.
 #define DINOMO_RETURN_IF_ERROR(expr)          \
   do {                                        \

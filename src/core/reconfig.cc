@@ -30,12 +30,6 @@ constexpr double kRepairPerEntryUs = 2.0;
 // mapping").
 constexpr double kOwnershipPropagationUs = 1000.0;
 
-const Status& GetStatus(const Status& s) { return s; }
-template <typename T>
-const Status& GetStatus(const Result<T>& r) {
-  return r.status();
-}
-
 }  // namespace
 
 Protocol::Protocol(Runtime* runtime, dpm::DpmPool* pool,

@@ -483,7 +483,9 @@ void DpmNode::ApplyRecord(uint64_t owner, const LogRecord& rec,
       // slot's CAS-published tip is a point-lookup concern).
       auto prev = ordered_->UpsertHashed(okey, rec.key_hash, packed.raw());
       DINOMO_CHECK(prev.ok());
-    } else {
+    } else if (current == 0) {
+      // A tombstone the slot still shows (a later Put may already have
+      // republished the key).
       auto prev = ordered_->Remove(okey);
       DINOMO_CHECK(prev.ok());
     }
@@ -625,7 +627,10 @@ Status DpmNode::RemoveIndirect(int kn_node, uint64_t key_hash) {
         reinterpret_cast<uint64_t*>(const_cast<char*>(ro.Translate(slot)));
     const uint64_t final_value =
         std::atomic_ref<uint64_t>(*word).load(std::memory_order_acquire);
-    auto old = index_->Upsert(key_hash, final_value);
+    // An empty slot is a key deleted while shared: it leaves the index.
+    auto old = final_value == pm::kNullPmPtr
+                   ? index_->Remove(key_hash)
+                   : index_->Upsert(key_hash, final_value);
     DINOMO_CHECK(old.ok());
     slots.erase(it);
     alloc_->Free(slot);

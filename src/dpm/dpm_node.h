@@ -176,7 +176,8 @@ class DpmNode {
   Result<pm::PmPtr> InstallIndirect(int kn_node, uint64_t key_hash);
 
   /// Ends shared mode: writes the slot's final value back into the index
-  /// and frees the slot. Callers must have invalidated KN caches first.
+  /// (an empty slot, a key deleted while shared, removes the key) and
+  /// frees the slot. Callers must have invalidated KN caches first.
   Status RemoveIndirect(int kn_node, uint64_t key_hash);
 
   /// True if the key is currently in shared (replicated) mode.

@@ -1,5 +1,6 @@
 #include "index/clht.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/hash.h"
@@ -17,11 +18,15 @@ inline std::atomic_ref<const uint64_t> AtomicAt(const uint64_t* p) {
   return std::atomic_ref<const uint64_t>(*p);
 }
 
-inline uint64_t PackHeader(uint64_t epoch, int log2_buckets) {
-  return (epoch << 8) | static_cast<uint64_t>(log2_buckets);
+// Header `table` word: a cache-line-aligned bucket array with log2 of its
+// bucket count in the low bits.
+constexpr uint64_t kLog2Mask = pm::kCacheLineSize - 1;
+inline uint64_t PackTable(pm::PmPtr array, int log2_buckets) {
+  DINOMO_CHECK((array & kLog2Mask) == 0);
+  return array | static_cast<uint64_t>(log2_buckets);
 }
-inline uint64_t EpochOf(uint64_t packed) { return packed >> 8; }
-inline int Log2Of(uint64_t packed) { return static_cast<int>(packed & 0xff); }
+inline pm::PmPtr ArrayOf(uint64_t table) { return table & ~kLog2Mask; }
+inline uint64_t SizeOf(uint64_t table) { return 1ULL << (table & kLog2Mask); }
 
 // Resize triggers: occupancy or an over-long chain.
 constexpr double kMaxLoadFactor = 0.70;
@@ -45,10 +50,10 @@ Result<Clht*> Clht::Create(pm::PmPool* pool, pm::PmAllocator* alloc,
 
   auto* table = new Clht(pool, alloc, header_alloc.value());
   Header h{};
-  h.buckets = buckets_alloc.value();
+  h.epoch = 1;
+  h.table = PackTable(buckets_alloc.value(), log2_buckets);
   h.count = 0;
   h.resize_lock = 0;
-  h.packed = PackHeader(/*epoch=*/1, log2_buckets);
   pool->Store(header_alloc.value(), h);
   pool->Persist(header_alloc.value(), sizeof(Header));
   // Bucket array was zeroed by the allocator; persist it so recovery sees
@@ -96,15 +101,12 @@ Result<Clht*> Clht::Recover(pm::PmPool* pool, pm::PmAllocator* alloc,
 
 Clht::TableView Clht::CurrentView() const {
   const Header* h = header();
-  while (true) {
-    const uint64_t p1 = AtomicAt(&h->packed).load(std::memory_order_acquire);
-    const pm::PmPtr buckets =
-        AtomicAt(&h->buckets).load(std::memory_order_acquire);
-    const uint64_t p2 = AtomicAt(&h->packed).load(std::memory_order_acquire);
-    if (p1 == p2) {
-      return TableView{EpochOf(p1), buckets, 1ULL << Log2Of(p1)};
-    }
-  }
+  // Epoch first: a resize stores the table before the epoch, so the view
+  // may pair the new table with the old epoch. Either table is complete;
+  // the epoch only tells readers and writers to look again.
+  const uint64_t epoch = AtomicAt(&h->epoch).load(std::memory_order_acquire);
+  const uint64_t table = AtomicAt(&h->table).load(std::memory_order_acquire);
+  return TableView{epoch, ArrayOf(table), SizeOf(table)};
 }
 
 void Clht::LockBucket(Bucket* b) {
@@ -295,9 +297,8 @@ void Clht::DoResize() {
 
   const TableView view = CurrentView();
   const uint64_t old_n = view.num_buckets;
-  const int new_log2 = Log2Of(AtomicAt(&h->packed).load(
-                           std::memory_order_acquire)) + 1;
   const uint64_t new_n = old_n * 2;
+  const int new_log2 = std::countr_zero(new_n);
 
   auto new_alloc = alloc_->Alloc(new_n * sizeof(Bucket));
   if (!new_alloc.ok()) {
@@ -330,16 +331,17 @@ void Clht::DoResize() {
   // RehashInsert deliberately skips per-line persists for them.
   pool_->Persist(new_array, new_n * sizeof(Bucket));
 
-  // Publish: buckets pointer first, then the packed epoch/size word, then
+  // Publish: the table word (array and size in one store, so no reader
+  // ever pairs the new array with the old size mask), then the epoch, then
   // ONE persist of the header line. Both words share the cache line, so the
   // single line-granular flush commits them atomically: recovery sees
-  // either the fully-old or fully-new (array, size, epoch) pair. Persisting
-  // between the two stores would expose a torn header — new array with the
-  // old size mask — at that crash point (the crash-point sweep in
-  // clht_test.cc covers every resize boundary).
-  pool_->StoreRelease64(pool_->OffsetOf(&h->buckets), new_array);
-  pool_->StoreRelease64(pool_->OffsetOf(&h->packed),
-                        PackHeader(view.epoch + 1, new_log2));
+  // either the fully-old or fully-new (table, epoch) pair (the crash-point
+  // sweep in clht_test.cc covers every resize boundary).
+  pool_->StoreRelease64(pool_->OffsetOf(&h->table),
+                        PackTable(new_array, new_log2));
+  if (publish_hook_) publish_hook_();
+  pool_->StoreRelease64(pool_->OffsetOf(&h->epoch), view.epoch + 1);
+  if (publish_hook_) publish_hook_();
   pool_->PersistPublishAddr(h, sizeof(Header));
 
   for (uint64_t i = 0; i < old_n; ++i) {
@@ -452,19 +454,16 @@ void Clht::FreeRetiredTables() {
 Clht::RemoteHandle Clht::FetchRemoteHandle(net::Fabric* fabric,
                                            int node) const {
   // Two reads of the header line; accept when consecutive snapshots agree
-  // (a resize swaps the pointer and the packed word in between).
+  // (a resize stores the table and the epoch in between).
   Header snap1;
   Header snap2;
   fabric->Read(node, header_ptr_, &snap1, sizeof(Header));
   while (true) {
     fabric->Read(node, header_ptr_, &snap2, sizeof(Header));
-    if (snap1.packed == snap2.packed && snap1.buckets == snap2.buckets) {
-      break;
-    }
+    if (snap1.epoch == snap2.epoch && snap1.table == snap2.table) break;
     snap1 = snap2;
   }
-  return RemoteHandle{EpochOf(snap2.packed), snap2.buckets,
-                      1ULL << Log2Of(snap2.packed)};
+  return RemoteHandle{snap2.epoch, ArrayOf(snap2.table), SizeOf(snap2.table)};
 }
 
 Clht::RemoteResult Clht::RemoteLookup(net::Fabric* fabric, int node,

@@ -35,12 +35,12 @@ namespace index {
 ///    the table recoverable: value slot before key slot on insert.
 ///
 /// Resizing doubles the bucket array under a global resize lock while
-/// holding every old-bucket lock; the new array is published by bumping
-/// the epoch in the header. Old arrays are retired, not freed, until
-/// FreeRetiredTables() is called at a quiescent point, so remote readers
-/// holding a stale handle never read reused memory. Remote readers detect
-/// staleness via the epoch piggybacked on merge notifications (see
-/// dpm::MergeService).
+/// holding every old-bucket lock; one 64-bit header store publishes the
+/// new array together with its size, then the epoch is bumped. Old arrays
+/// are retired, not freed, until FreeRetiredTables() is called at a
+/// quiescent point, so remote readers holding a stale handle never read
+/// reused memory. Remote readers detect staleness via the epoch
+/// piggybacked on merge notifications (see dpm::MergeService).
 ///
 /// Keys are non-zero 64-bit values (the paper's workloads use 8-byte keys;
 /// the KVS layer maps variable-length keys onto 64-bit fingerprints and
@@ -140,12 +140,14 @@ class Clht {
                 "bucket must be exactly one cache line");
   static constexpr int kSlotsPerBucket = 3;
 
-  // Header cache line. `packed` = (epoch << 8) | log2_buckets, published
-  // with release ordering after `buckets`, so readers can snapshot the
-  // pair by re-checking `packed`.
+  // Header cache line. `table` = bucket array | log2(bucket count): arrays
+  // are cache-line aligned, so the size rides in the low bits and one
+  // 64-bit store publishes array and size together. Each resize bumps
+  // `epoch` after storing `table`, so a reader that sees an epoch sees at
+  // least that epoch's table.
   struct alignas(pm::kCacheLineSize) Header {
-    uint64_t packed;
-    pm::PmPtr buckets;
+    uint64_t epoch;
+    uint64_t table;
     uint64_t count;
     uint64_t resize_lock;
     uint64_t pad[4];
@@ -194,6 +196,11 @@ class Clht {
   pm::PmPool* pool_;
   pm::PmAllocator* alloc_;
   pm::PmPtr header_ptr_;
+
+  // Test seam (ClhtTestPeer): runs on the resizing thread right after
+  // each of DoResize's two publication stores.
+  std::function<void()> publish_hook_;
+  friend class ClhtTestPeer;
 
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> resizes_{0};

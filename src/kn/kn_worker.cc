@@ -51,6 +51,20 @@ constexpr int kTransientRetries = 4;
 // if the surviving DPM keeps rejecting RPCs).
 constexpr int kFailoverReplayRetries = 64;
 
+// Runs an idempotent DPM RPC, retrying it at once while it fails
+// transiently, up to kTransientRetries attempts. Unlike
+// reconfig::Protocol::RetryTransient it never waits in modelled time.
+template <typename Fn>
+auto RetryImmediate(Fn&& fn) -> decltype(fn()) {
+  auto result = fn();
+  for (int attempt = 1;
+       attempt < kTransientRetries && IsTransient(GetStatus(result));
+       ++attempt) {
+    result = fn();
+  }
+  return result;
+}
+
 Slice HashKeySlice(const uint64_t& key_hash) {
   return Slice(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
 }
@@ -74,8 +88,7 @@ KnWorker::KnWorker(const KnOptions& options, int worker_idx,
   // and must keep paying the full traversal on a miss.
   if (options_.icache_enabled &&
       options_.policy != CachePolicyKind::kShortcutOnly) {
-    icache_ = std::make_unique<IndexCache>(options_.icache_entries,
-                                           options_.metrics);
+    icache_ = std::make_unique<IndexCache>(kIcacheEntries, options_.metrics);
   }
   index_handles_.resize(static_cast<size_t>(pool_->num_nodes()));
   known_index_epochs_.resize(static_cast<size_t>(pool_->num_nodes()), 0);
@@ -95,6 +108,8 @@ index::Clht* KnWorker::TargetIndex(int n) const {
 KnWorker::WriteState* KnWorker::StateFor(const dpm::DpmPlacement& pl) {
   WriteState& st = write_states_[PlacementKey{pl.primary, pl.mirror}];
   if (st.bloom == nullptr) {
+    st.legs[0].node = pl.primary;
+    st.legs[1].node = pl.mirror;
     st.bloom = std::make_unique<BloomFilter>(options_.batch_max_ops * 4);
   }
   return &st;
@@ -175,11 +190,11 @@ void KnWorker::FailoverRecover() {
     if (st.batch.entries() > 0) {
       replay.emplace_back(st.batch.data(), st.batch.bytes());
     }
-    if (pool_->alive(p) && st.segment != pm::kNullPmPtr) {
+    if (pool_->alive(p) && st.legs[0].segment != pm::kNullPmPtr) {
       // Best effort: the orphaned segment on the surviving primary is
       // fully submitted; sealing it lets GC reclaim it once merged.
       (void)node(p)->SealSegment(options_.fabric_node, log_owner(),
-                                 st.segment);
+                                 st.legs[0].segment);
     }
     it = write_states_.erase(it);
   }
@@ -197,7 +212,7 @@ void KnWorker::FailoverRecover() {
       Status st = Status::Ok();
       for (int tries = 0; tries < kFailoverReplayRetries; ++tries) {
         const dpm::DpmPlacement pl = pool_->PlacementOf(rec.key_hash);
-        st = AppendWrite(StateFor(pl), pl, rec.op, rec.key, rec.value,
+        st = AppendWrite(StateFor(pl), rec.op, rec.key, rec.value,
                          rec.key_hash, &vp);
         if (!st.IsBusy()) break;
         // Threshold pressure: force the backlog down, then retry.
@@ -279,57 +294,44 @@ Status KnWorker::ReadEntryValue(int n, dpm::ValuePtr vp, uint64_t key_hash,
 Status KnWorker::SearchCachedBatches(const WriteState* st, uint64_t key_hash,
                                      const Slice& key, std::string* value,
                                      double* cpu_us) {
-  auto scan = [&](const char* data, size_t len, std::string* out,
-                  bool* deleted) -> bool {
+  // Scans one batch image the Bloom filter does not rule out, charging
+  // the scan; true if the key has an entry there (the last one wins).
+  bool deleted = false;
+  obs::TraceContext* ctx = obs::CurrentTraceContext();
+  auto probe = [&](const char* data, size_t len, const BloomFilter& bloom) {
+    if (!bloom.MayContain(HashKeySlice(key_hash))) return false;
+    *cpu_us += options_.cpu_segment_scan_us;
+    if (ctx != nullptr) {
+      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr,
+                      options_.cpu_segment_scan_us);
+    }
     dpm::LogIterator it(data, len);
     dpm::LogRecord rec;
     bool found = false;
     while (it.Next(&rec)) {
-      if (rec.key_hash != key_hash) continue;
       // The hash is only a fingerprint: a colliding key's entries must
       // not alias this key's value (or tombstone).
-      if (!(rec.key == key)) continue;
+      if (rec.key_hash != key_hash || !(rec.key == key)) continue;
       found = true;
-      if (rec.op == dpm::LogOp::kPut) {
-        out->assign(rec.value.data(), rec.value.size());
-        *deleted = false;
-      } else {
-        *deleted = true;
-      }
+      deleted = rec.op != dpm::LogOp::kPut;
+      if (!deleted) value->assign(rec.value.data(), rec.value.size());
     }
     return found;
   };
-
-  bool deleted = false;
   // Newest first: the in-flight batch of the key's placement, then
   // unmerged flushed batches. (A key's entries only ever live in its own
   // placement's batch, so the other placements' builders need no scan.)
-  obs::TraceContext* ctx = obs::CurrentTraceContext();
-  if (st != nullptr && st->batch.entries() > 0 &&
-      st->bloom->MayContain(HashKeySlice(key_hash))) {
-    *cpu_us += options_.cpu_segment_scan_us;
-    if (ctx != nullptr) {
-      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr,
-                      options_.cpu_segment_scan_us);
-    }
-    if (scan(st->batch.data(), st->batch.bytes(), value, &deleted)) {
-      return deleted ? Status::Aborted("tombstone") : Status::Ok();
+  bool found = st != nullptr && st->batch.entries() > 0 &&
+               probe(st->batch.data(), st->batch.bytes(), *st->bloom);
+  if (!found) {
+    MutexLock lock(batches_mu_);
+    for (auto it = unmerged_batches_.rbegin();
+         !found && it != unmerged_batches_.rend(); ++it) {
+      found = probe(it->bytes.data(), it->bytes.size(), *it->bloom);
     }
   }
-  MutexLock lock(batches_mu_);
-  for (auto it = unmerged_batches_.rbegin(); it != unmerged_batches_.rend();
-       ++it) {
-    if (!it->bloom->MayContain(HashKeySlice(key_hash))) continue;
-    *cpu_us += options_.cpu_segment_scan_us;
-    if (ctx != nullptr) {
-      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr,
-                      options_.cpu_segment_scan_us);
-    }
-    if (scan(it->bytes.data(), it->bytes.size(), value, &deleted)) {
-      return deleted ? Status::Aborted("tombstone") : Status::Ok();
-    }
-  }
-  return Status::NotFound();
+  if (!found) return Status::NotFound();
+  return deleted ? Status::Aborted("tombstone") : Status::Ok();
 }
 
 OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
@@ -616,112 +618,74 @@ OpResult KnWorker::GetComplete(const Slice& key, DirectReadPlan* plan,
   return Finish(std::move(retry));
 }
 
-Status KnWorker::EnsureSegmentsFor(WriteState* st,
-                                   const dpm::DpmPlacement& pl,
-                                   size_t entry_bytes) {
-  if (pl.primary < 0) return Status::Unavailable("no dpm node alive");
+Status KnWorker::EnsureSegmentsFor(WriteState* st, size_t entry_bytes) {
+  if (st->legs[0].node < 0) return Status::Unavailable("no dpm node alive");
   const size_t cap =
-      node(pl.primary)->options().segment_size - kSegmentHeaderSize;
+      node(st->legs[0].node)->options().segment_size - kSegmentHeaderSize;
   if (entry_bytes > cap) {
     return Status::InvalidArgument("entry larger than a log segment");
   }
-  // The mirror stream can run ahead of the primary's (a retried flush
-  // re-ships the batch to a fresh mirror offset), so capacity is judged
-  // on the fuller of the two.
-  const size_t used =
-      pl.mirror >= 0 ? std::max(st->segment_used, st->mirror_used)
-                     : st->segment_used;
-  const bool roll = st->segment == pm::kNullPmPtr ||
-                    used + st->batch.bytes() + entry_bytes > cap;
+  const bool roll = st->legs[0].segment == pm::kNullPmPtr ||
+                    st->used() + st->batch.bytes() + entry_bytes > cap;
   if (roll) {
+    // Flush what we have into the current segments, then roll over.
+    if (st->batch.entries() > 0) {
+      double cpu = 0;
+      DINOMO_RETURN_IF_ERROR(FlushState(st, &cpu));
+      stats_.busy_us += cpu;
+    }
     // Respect the unmerged-segment threshold (§4: "KNs can add a new log
     // segment without blocking until their un-merged log-segment length
     // reaches a certain threshold (default is 2)") — on every node that
     // would host a new segment.
     const int threshold =
-        node(pl.primary)->options().unmerged_segment_threshold;
-    if (node(pl.primary)->UnmergedSegments(log_owner()) >= threshold) {
-      return Status::Busy("unmerged-segment threshold reached");
-    }
-    if (pl.mirror >= 0 &&
-        node(pl.mirror)->UnmergedSegments(log_owner()) >= threshold) {
-      return Status::Busy("unmerged-segment threshold reached (mirror)");
-    }
-    // Both RPCs are idempotent (re-sealing a sealed segment is a no-op; a
-    // re-requested allocation just hands out a fresh segment), so
-    // transient rejections get a few immediate retries before surfacing.
-    if (st->segment != pm::kNullPmPtr) {
-      Status sealed;
-      for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-        sealed = pool_->SealSegment(pl.primary, placement_gen_,
-                                    options_.fabric_node, log_owner(),
-                                    st->segment);
-        if (!IsTransient(sealed)) break;
+        node(st->legs[0].node)->options().unmerged_segment_threshold;
+    for (int i = 0; i < st->num_legs(); ++i) {
+      if (node(st->legs[i].node)->UnmergedSegments(log_owner()) >=
+          threshold) {
+        return Status::Busy("unmerged-segment threshold reached");
       }
-      DINOMO_RETURN_IF_ERROR(sealed);
     }
-    if (st->mirror_segment != pm::kNullPmPtr && pl.mirror >= 0) {
-      Status sealed;
-      for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-        sealed = pool_->SealSegment(pl.mirror, placement_gen_,
-                                    options_.fabric_node, log_owner(),
-                                    st->mirror_segment);
-        if (!IsTransient(sealed)) break;
-      }
-      DINOMO_RETURN_IF_ERROR(sealed);
+    // Sealing is idempotent (re-sealing a sealed segment is a no-op).
+    for (int i = 0; i < st->num_legs(); ++i) {
+      const Leg& leg = st->legs[i];
+      if (leg.segment == pm::kNullPmPtr) continue;
+      DINOMO_RETURN_IF_ERROR(RetryImmediate([&] {
+        return pool_->SealSegment(leg.node, placement_gen_,
+                                  options_.fabric_node, log_owner(),
+                                  leg.segment);
+      }));
     }
-    Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-      seg = pool_->AllocateSegment(pl.primary, placement_gen_,
-                                   options_.fabric_node, log_owner());
-      if (seg.ok() || !IsTransient(seg.status())) break;
-    }
-    if (!seg.ok()) return seg.status();
-    st->segment = seg.value();
-    st->segment_used = 0;
-    st->mirror_segment = pm::kNullPmPtr;
-    st->mirror_used = 0;
   }
-  if (pl.mirror >= 0 && st->mirror_segment == pm::kNullPmPtr) {
-    Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-      seg = pool_->AllocateSegment(pl.mirror, placement_gen_,
-                                   options_.fabric_node, log_owner());
-      if (seg.ok() || !IsTransient(seg.status())) break;
-    }
+  // A re-requested allocation just hands out a fresh segment, so it is
+  // idempotent too. A new primary segment starts a new mirror segment.
+  for (int i = 0; i < st->num_legs(); ++i) {
+    Leg& leg = st->legs[i];
+    if (leg.segment != pm::kNullPmPtr && !(i == 0 && roll)) continue;
+    Result<pm::PmPtr> seg = RetryImmediate([&] {
+      return pool_->AllocateSegment(leg.node, placement_gen_,
+                                    options_.fabric_node, log_owner());
+    });
     if (!seg.ok()) return seg.status();
-    st->mirror_segment = seg.value();
-    st->mirror_used = 0;
+    leg.segment = seg.value();
+    leg.used = 0;
+    if (i == 0) {
+      st->legs[1].segment = pm::kNullPmPtr;
+      st->legs[1].used = 0;
+    }
   }
   return Status::Ok();
 }
 
-Status KnWorker::AppendWrite(WriteState* st, const dpm::DpmPlacement& pl,
-                             dpm::LogOp op, const Slice& key,
+Status KnWorker::AppendWrite(WriteState* st, dpm::LogOp op, const Slice& key,
                              const Slice& value, uint64_t key_hash,
                              dpm::ValuePtr* out_vp) {
   const size_t need = dpm::EncodedEntrySize(
       key.size(), op == dpm::LogOp::kPut ? value.size() : 0);
-  const size_t cap =
-      node(pl.primary >= 0 ? pl.primary : 0)->options().segment_size -
-      kSegmentHeaderSize;
-  const size_t used =
-      pl.mirror >= 0 ? std::max(st->segment_used, st->mirror_used)
-                     : st->segment_used;
-  if (st->segment == pm::kNullPmPtr ||
-      (pl.mirror >= 0 && st->mirror_segment == pm::kNullPmPtr) ||
-      used + st->batch.bytes() + need > cap) {
-    // Flush what we have into the current segment, then roll over.
-    if (st->batch.entries() > 0) {
-      double cpu = 0;
-      DINOMO_RETURN_IF_ERROR(
-          FlushState(PlacementKey{pl.primary, pl.mirror}, st, &cpu));
-      stats_.busy_us += cpu;
-    }
-    DINOMO_RETURN_IF_ERROR(EnsureSegmentsFor(st, pl, need));
-  }
+  DINOMO_RETURN_IF_ERROR(EnsureSegmentsFor(st, need));
+  const Leg& primary = st->legs[0];
   const pm::PmPtr entry_ptr =
-      st->segment + kSegmentHeaderSize + st->segment_used + st->batch.bytes();
+      primary.segment + kSegmentHeaderSize + primary.used + st->batch.bytes();
   if (op == dpm::LogOp::kPut) {
     st->batch.AddPut(++next_seq_, key_hash, key, value);
   } else {
@@ -732,18 +696,34 @@ Status KnWorker::AppendWrite(WriteState* st, const dpm::DpmPlacement& pl,
   return Status::Ok();
 }
 
-Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
-                            double* cpu_us) {
+Status KnWorker::WriteRetried(net::Fabric* fabric, const char* src,
+                              pm::PmPtr dst, size_t len, bool publish,
+                              const pm::SourceLoc& loc) {
+  Status fault;
+  for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
+    if (publish) {
+      fabric->WritePublish(options_.fabric_node, src, dst, len, loc);
+    } else {
+      fabric->Write(options_.fabric_node, src, dst, len, loc);
+    }
+    fault = net::Fabric::TakePendingFault();
+    if (fault.ok()) break;
+  }
+  return fault;
+}
+
+Status KnWorker::FlushState(WriteState* st, double* cpu_us) {
   if (st->batch.entries() == 0) return Status::Ok();
   obs::TraceSpan flush_span(obs::SpanKind::kFlush);
   if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
     ctx->RecordLeaf(obs::SpanKind::kFlush, "flush_cpu",
                     options_.cpu_batch_flush_us);
   }
-  DINOMO_CHECK(st->segment != pm::kNullPmPtr);
-  const int p = pkey.first;
-  const int m = pkey.second;
-  const pm::PmPtr dst = st->segment + kSegmentHeaderSize + st->segment_used;
+  Leg& primary = st->legs[0];
+  DINOMO_CHECK(primary.segment != pm::kNullPmPtr);
+  const int p = primary.node;
+  const pm::PmPtr dst = primary.segment + kSegmentHeaderSize + primary.used;
+  const char* data = st->batch.data();
   const size_t len = st->batch.bytes();
   net::Fabric* pf = node(p)->fabric();
   // A dropped write must be retried BEFORE SubmitBatch — registering a
@@ -751,77 +731,51 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   // budget the batch stays buffered (nothing was acked), so a later flush
   // repeats the identical protocol: idempotent.
   (void)net::Fabric::TakePendingFault();
-  if (m < 0) {
-    // Unreplicated fast path: ONE one-sided durable RDMA write ships the
-    // whole batch (§3.6), exactly as in the single-DPM system.
-    for (int attempt = 0;; ++attempt) {
-      pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-      Status fault = net::Fabric::TakePendingFault();
-      if (fault.ok()) break;
-      if (attempt + 1 >= kTransientRetries) return fault;
-    }
-  } else {
-    // Replicate-before-ack (Tsai & Zhang; AsymNVM mirroring): the
-    // primary's commit marker — the byte that makes the batch decodable,
-    // and the precondition for acking the flush — is published only after
-    // the mirror holds and has registered a full durable copy. A crash of
-    // either side before step 3 leaves the batch unacked and the primary
-    // copy torn (DecodeEntry rejects it); a primary fail-stop after step
-    // 3 finds every acked entry already merged-or-queued on the mirror.
-    DINOMO_CHECK(st->mirror_segment != pm::kNullPmPtr);
-    const pm::PmPtr mdst =
-        st->mirror_segment + kSegmentHeaderSize + st->mirror_used;
-    net::Fabric* mf = node(m)->fabric();
-    if (options_.test_reorder_replicated_flush) {
-      // TEST ONLY — deliberately reordered append: the full batch,
-      // commit marker included, lands on the primary before the mirror
-      // has a copy. tests/replication_test.cc proves this is detected.
-      for (int attempt = 0;; ++attempt) {
-        pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
-    } else {
-      // 1. Primary payload with the final commit-marker byte withheld.
-      for (int attempt = 0;; ++attempt) {
-        pf->Write(options_.fabric_node, st->batch.data(), dst, len - 1);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
-    }
+  // Unreplicated: ONE one-sided durable RDMA write ships the whole batch
+  // (§3.6), exactly as in the single-DPM system. Replicated:
+  // replicate-before-ack (Tsai & Zhang; AsymNVM mirroring) — the primary's
+  // commit marker, the byte that makes the batch decodable and the
+  // precondition for acking the flush, is published only after the mirror
+  // holds and has registered a full durable copy. A crash of either side
+  // before step 3 leaves the batch unacked and the primary copy torn
+  // (DecodeEntry rejects it); a primary fail-stop after step 3 finds every
+  // acked entry already merged-or-queued on the mirror.
+  // TEST ONLY: test_reorder_replicated_flush ships the full batch, commit
+  // marker included, before the mirror has a copy;
+  // tests/replication_test.cc proves this is detected.
+  const bool mirrored = st->num_legs() == 2;
+  const bool withhold_marker =
+      mirrored && !options_.test_reorder_replicated_flush;
+  // 1. Primary payload (with the final commit-marker byte withheld).
+  DINOMO_RETURN_IF_ERROR(
+      WriteRetried(pf, data, dst, withhold_marker ? len - 1 : len));
+  if (mirrored) {
     // 2. Full durable copy to the mirror, then the mirror's SubmitBatch —
     //    its success is the mirror ack the commit marker waits for.
-    for (int attempt = 0;; ++attempt) {
-      mf->Write(options_.fabric_node, st->batch.data(), mdst, len);
-      Status fault = net::Fabric::TakePendingFault();
-      if (fault.ok()) break;
-      if (attempt + 1 >= kTransientRetries) return fault;
-    }
+    Leg& mirror = st->legs[1];
+    DINOMO_CHECK(mirror.segment != pm::kNullPmPtr);
+    const int m = mirror.node;
+    const pm::PmPtr mdst = mirror.segment + kSegmentHeaderSize + mirror.used;
+    DINOMO_RETURN_IF_ERROR(WriteRetried(node(m)->fabric(), data, mdst, len));
     auto mirror_submit =
         pool_->SubmitBatch(m, placement_gen_, options_.fabric_node,
-                           log_owner(), st->mirror_segment, mdst, len,
+                           log_owner(), mirror.segment, mdst, len,
                            st->batch.puts());
     if (!mirror_submit.ok()) return mirror_submit.status();
     // The mirror owns these bytes now even if a later step fails — a
     // retried flush ships to a fresh mirror offset (re-merging the same
     // entries is idempotent).
-    st->mirror_used += len;
+    mirror.used += len;
     known_index_epochs_[static_cast<size_t>(m)] =
         std::max(known_index_epochs_[static_cast<size_t>(m)],
                  mirror_submit.value().index_epoch);
-    if (!options_.test_reorder_replicated_flush) {
-      // 3. Publish the commit marker on the primary. WritePublish makes
-      //    it a publication point under the PmChecker: everything the
-      //    marker makes reachable must already be durable.
-      for (int attempt = 0;; ++attempt) {
-        pf->WritePublish(options_.fabric_node,
-                         st->batch.data() + (len - 1), dst + (len - 1), 1);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
+    // 3. Publish the commit marker on the primary. WritePublish makes it
+    //    a publication point under the PmChecker: everything the marker
+    //    makes reachable must already be durable.
+    if (withhold_marker) {
+      DINOMO_RETURN_IF_ERROR(WriteRetried(pf, data + (len - 1),
+                                          dst + (len - 1), 1,
+                                          /*publish=*/true));
     }
   }
   // Register the cached copy BEFORE the DPM learns about the batch:
@@ -831,14 +785,14 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   {
     MutexLock lock(batches_mu_);
     CachedBatch cached;
-    cached.bytes.assign(st->batch.data(), len);
+    cached.bytes.assign(data, len);
     cached.base = dst;
     cached.node = p;
     cached.bloom = std::move(st->bloom);
     unmerged_batches_.push_back(std::move(cached));
   }
   auto submit = pool_->SubmitBatch(p, placement_gen_, options_.fabric_node,
-                                   log_owner(), st->segment, dst, len,
+                                   log_owner(), primary.segment, dst, len,
                                    st->batch.puts());
   if (!submit.ok()) {
     // The DPM never accepted the batch (no merge was scheduled): undo
@@ -863,83 +817,66 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
       RefreshIndexHandle(p);
     }
   }
-  st->segment_used += len;
+  primary.used += len;
   st->batch.Clear();
   st->bloom = std::make_unique<BloomFilter>(options_.batch_max_ops * 4);
   *cpu_us += options_.cpu_batch_flush_us;
   return Status::Ok();
 }
 
-Status KnWorker::FlushAllStates(net::OpCost* cost, double* cpu_us) {
-  (void)cost;
+Status KnWorker::FlushAllStates(double* cpu_us) {
   for (auto& [pkey, st] : write_states_) {
-    DINOMO_RETURN_IF_ERROR(FlushState(pkey, &st, cpu_us));
+    DINOMO_RETURN_IF_ERROR(FlushState(&st, cpu_us));
   }
   return Status::Ok();
 }
 
-OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
-                               uint64_t key_hash) {
-  OpResult out;
-  out.cpu_us = options_.cpu_write_us;
-
-  // Shared writes are not batched: the new version must be published
-  // immediately through the indirect slot (write value, then CAS, §3.4).
-  // They are also primary-only — the slot lives on the key's primary, and
-  // the runtimes drop shared mode around a DPM membership change.
-  double cpu = 0;
-  Status st = FlushAllStates(nullptr, &cpu);
-  out.cpu_us += cpu;
-  if (!st.ok()) {
-    out.status = st;
-    return out;
-  }
-  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-  if (pl.primary < 0) {
-    out.status = Status::Unavailable("no dpm node alive");
-    return out;
-  }
+Status KnWorker::SharedWrite(dpm::LogOp op, const Slice& key,
+                             const Slice& value, uint64_t key_hash,
+                             const dpm::DpmPlacement& pl,
+                             dpm::ValuePtr* slot_vp, double* cpu_us) {
+  // Shared writes are not batched: each version must be published
+  // immediately through the indirect slot (write the entry, then CAS,
+  // §3.4). They are also primary-only — the slot lives on the key's
+  // primary, and the runtimes drop shared mode around a DPM membership
+  // change. The entry is not registered as a cached unmerged batch: the
+  // slot, not this worker's batch scan, is where every owner finds the
+  // key's newest version.
+  double flush_cpu = 0;
+  Status st = FlushAllStates(&flush_cpu);
+  *cpu_us += flush_cpu;
+  DINOMO_RETURN_IF_ERROR(st);
   WriteState* ws = StateFor(pl);
-  const size_t need = dpm::EncodedEntrySize(key.size(), value.size());
-  st = EnsureSegmentsFor(ws, pl, need);
-  if (!st.ok()) {
-    out.status = st;
-    return out;
-  }
+  const bool put = op == dpm::LogOp::kPut;
+  const Slice logged = put ? value : Slice();
+  const size_t need = dpm::EncodedEntrySize(key.size(), logged.size());
+  DINOMO_RETURN_IF_ERROR(EnsureSegmentsFor(ws, need));
+  Leg& primary = ws->legs[0];
   const pm::PmPtr entry_ptr =
-      ws->segment + kSegmentHeaderSize + ws->segment_used;
+      primary.segment + kSegmentHeaderSize + primary.used;
   std::string buf(need, '\0');
-  dpm::EncodeEntry(buf.data(), dpm::LogOp::kPut, ++next_seq_, key_hash, key,
-                   value);
+  dpm::EncodeEntry(buf.data(), op, ++next_seq_, key_hash, key, logged);
   // As in FlushState: the entry must actually land before it is
   // registered and published through the slot CAS below.
   net::Fabric* fabric = node(pl.primary)->fabric();
   (void)net::Fabric::TakePendingFault();
-  for (int attempt = 0;; ++attempt) {
-    fabric->Write(options_.fabric_node, buf.data(), entry_ptr, need);
-    Status fault = net::Fabric::TakePendingFault();
-    if (fault.ok()) break;
-    if (attempt + 1 >= kTransientRetries) {
-      out.status = fault;
-      return out;
-    }
-  }
+  DINOMO_RETURN_IF_ERROR(WriteRetried(fabric, buf.data(), entry_ptr, need));
   auto submit = pool_->SubmitBatch(pl.primary, placement_gen_,
                                    options_.fabric_node, log_owner(),
-                                   ws->segment, entry_ptr, need, /*puts=*/1);
-  if (!submit.ok()) {
-    out.status = submit.status();
-    return out;
-  }
-  ws->segment_used += need;
+                                   primary.segment, entry_ptr, need,
+                                   /*puts=*/put ? 1 : 0);
+  if (!submit.ok()) return submit.status();
+  primary.used += need;
 
   const pm::PmPtr slot = node(pl.primary)->SharedSlot(key_hash);
   if (slot == pm::kNullPmPtr) {
-    out.status = Status::Unavailable("replication metadata out of date");
-    return out;
+    return Status::Unavailable("replication metadata out of date");
   }
-  const dpm::ValuePtr packed =
-      dpm::ValuePtr::Pack(entry_ptr, static_cast<uint32_t>(need));
+  // The slot's new content: the entry of a Put, or empty (0) for a
+  // Delete, which ReadEntryValue reads as NotFound.
+  const uint64_t desired =
+      put ? dpm::ValuePtr::Pack(entry_ptr, static_cast<uint32_t>(need)).raw()
+          : 0;
   for (int attempt = 0; attempt < 16; ++attempt) {
     const uint64_t cur = fabric->AtomicRead64(options_.fabric_node, slot);
     if (net::Fabric::HasPendingFault()) {
@@ -948,24 +885,40 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
       (void)net::Fabric::TakePendingFault();
       continue;
     }
-    if (fabric->CompareAndSwap64(options_.fabric_node, slot, cur,
-                                 packed.raw())) {
-      cache_->AdmitShortcutOnly(
-          key_hash, dpm::ValuePtr::Pack(slot, 8, /*indirect=*/true));
-      // Any direct pointer learned before the key became shared is now
-      // behind the slot's version; drop it so a later de-replication
-      // cannot resurrect it.
-      if (icache_ != nullptr) icache_->Invalidate(key_hash);
-      out.status = Status::Ok();
-      return out;
+    if (fabric->CompareAndSwap64(options_.fabric_node, slot, cur, desired)) {
+      *slot_vp = dpm::ValuePtr::Pack(slot, 8, /*indirect=*/true);
+      return Status::Ok();
     }
     (void)net::Fabric::TakePendingFault();  // dropped CAS reads as failure
   }
-  out.status = Status::Busy("indirect slot CAS kept failing");
-  return out;
+  return Status::Busy("indirect slot CAS kept failing");
 }
 
-OpResult KnWorker::PutImpl(const Slice& key, const Slice& value) {
+void KnWorker::NoteWritten(dpm::LogOp op, uint64_t key_hash,
+                           const Slice& value, int n, dpm::ValuePtr vp) {
+  if (op == dpm::LogOp::kDelete) {
+    cache_->Invalidate(key_hash);
+    if (icache_ != nullptr) icache_->Invalidate(key_hash);
+  } else if (vp.indirect()) {
+    cache_->AdmitShortcutOnly(key_hash, vp);
+    // Any direct pointer learned before the key became shared is now
+    // behind the slot's version; drop it so a later de-replication
+    // cannot resurrect it.
+    if (icache_ != nullptr) icache_->Invalidate(key_hash);
+  } else {
+    cache_->AdmitOnWrite(key_hash, value, vp);
+    // The appended entry's home is fixed at append time (segment offsets
+    // are reserved before the flush ships the bytes), so the icache can
+    // learn it now; pre-flush reads are satisfied by the batch scan before
+    // the icache is ever consulted.
+    if (icache_ != nullptr) {
+      icache_->Admit(key_hash, placement_gen_, n, vp.raw());
+    }
+  }
+}
+
+OpResult KnWorker::WriteImpl(dpm::LogOp op, const Slice& key,
+                             const Slice& value) {
   OpResult out;
   net::ScopedOpCost scope(&out.cost);
   CheckPlacement();
@@ -978,80 +931,27 @@ OpResult KnWorker::PutImpl(const Slice& key, const Slice& value) {
     out.status = Status::WrongOwner();
     return out;
   }
+  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
+  dpm::ValuePtr vp;
   if (routing_ != nullptr && routing_->ReplicationFactor(key_hash) > 1) {
-    OpResult shared = SharedWrite(key, value, key_hash);
-    stats_.busy_us += shared.cpu_us;
-    shared.cost = out.cost;
-    return shared;
+    // A failed shared write still spent its CPU (and any flush it ran).
+    out.cpu_us = options_.cpu_write_us;
+    out.status = SharedWrite(op, key, value, key_hash, pl, &vp, &out.cpu_us);
+    stats_.busy_us += out.cpu_us;
+    if (out.status.ok()) NoteWritten(op, key_hash, value, pl.primary, vp);
+    return out;
   }
 
-  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
   WriteState* ws = StateFor(pl);
-  dpm::ValuePtr vp;
-  Status st = AppendWrite(ws, pl, dpm::LogOp::kPut, key, value, key_hash,
-                          &vp);
-  if (!st.ok()) {
-    out.status = st;
-    return out;
-  }
-  cache_->AdmitOnWrite(key_hash, value, vp);
-  // The appended entry's home is fixed at append time (segment offsets
-  // are reserved before the flush ships the bytes), so the icache can
-  // learn it now; pre-flush reads are satisfied by the batch scan before
-  // the icache is ever consulted.
-  if (icache_ != nullptr) {
-    icache_->Admit(key_hash, placement_gen_, pl.primary, vp.raw());
-  }
-  out.cpu_us = options_.cpu_write_us;
-
-  if (ws->batch.entries() >= options_.batch_max_ops ||
-      ws->batch.bytes() >= options_.batch_max_bytes) {
-    st = FlushState(PlacementKey{pl.primary, pl.mirror}, ws, &out.cpu_us);
-    if (!st.ok()) {
-      out.status = st;
-      return out;
-    }
-  }
-  out.status = Status::Ok();
-  stats_.busy_us += out.cpu_us;
-  return out;
-}
-
-OpResult KnWorker::DeleteImpl(const Slice& key) {
-  OpResult out;
-  net::ScopedOpCost scope(&out.cost);
-  CheckPlacement();
-  const uint64_t key_hash = KeyHash(key);
-  TrackAccess(key_hash);
-  stats_.writes++;
-
-  if (routing_ != nullptr && !routing_->IsOwner(key_hash, options_.kn_id)) {
-    stats_.wrong_owner++;
-    out.status = Status::WrongOwner();
-    return out;
-  }
-
-  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-  WriteState* ws = StateFor(pl);
-  dpm::ValuePtr vp;
-  Status st = AppendWrite(ws, pl, dpm::LogOp::kDelete, key, Slice(),
-                          key_hash, &vp);
-  if (!st.ok()) {
-    out.status = st;
-    return out;
-  }
-  cache_->Invalidate(key_hash);
-  if (icache_ != nullptr) icache_->Invalidate(key_hash);
+  out.status = AppendWrite(ws, op, key, value, key_hash, &vp);
+  if (!out.status.ok()) return out;
+  NoteWritten(op, key_hash, value, pl.primary, vp);
   out.cpu_us = options_.cpu_write_us;
   if (ws->batch.entries() >= options_.batch_max_ops ||
       ws->batch.bytes() >= options_.batch_max_bytes) {
-    st = FlushState(PlacementKey{pl.primary, pl.mirror}, ws, &out.cpu_us);
-    if (!st.ok()) {
-      out.status = st;
-      return out;
-    }
+    out.status = FlushState(ws, &out.cpu_us);
+    if (!out.status.ok()) return out;
   }
-  out.status = Status::Ok();
   stats_.busy_us += out.cpu_us;
   return out;
 }
@@ -1236,44 +1136,9 @@ OpResult KnWorker::FlushWrites() {
   OpResult out;
   net::ScopedOpCost scope(&out.cost);
   CheckPlacement();
-  out.status = FlushAllStates(nullptr, &out.cpu_us);
+  out.status = FlushAllStates(&out.cpu_us);
   stats_.busy_us += out.cpu_us;
   return out;
-}
-
-bool KnWorker::WriteWouldBlock() const {
-  const size_t cap = node(0)->options().segment_size - kSegmentHeaderSize;
-  const int threshold = node(0)->options().unmerged_segment_threshold;
-  const size_t headroom = dpm::EncodedEntrySize(64, 4096);
-  if (write_states_.empty()) {
-    // No segment yet anywhere: the first write blocks only if some alive
-    // node already holds a threshold's worth of this owner's segments
-    // (possible right after a failover re-bin).
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      if (node(n)->UnmergedSegments(log_owner()) >= threshold) return true;
-    }
-    return false;
-  }
-  for (const auto& [pkey, st] : write_states_) {
-    const size_t used =
-        pkey.second >= 0
-            ? std::max(st.segment_used, st.mirror_used)
-            : st.segment_used;
-    if (st.segment != pm::kNullPmPtr &&
-        (pkey.second < 0 || st.mirror_segment != pm::kNullPmPtr) &&
-        used + st.batch.bytes() + headroom <= cap) {
-      continue;  // this placement still has segment headroom
-    }
-    if (node(pkey.first)->UnmergedSegments(log_owner()) >= threshold) {
-      return true;
-    }
-    if (pkey.second >= 0 &&
-        node(pkey.second)->UnmergedSegments(log_owner()) >= threshold) {
-      return true;
-    }
-  }
-  return false;
 }
 
 Status KnWorker::DrainLog() {

@@ -1,6 +1,7 @@
 #ifndef DINOMO_KN_KN_WORKER_H_
 #define DINOMO_KN_KN_WORKER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -39,6 +40,16 @@ enum class CachePolicyKind {
   kStatic,
 };
 
+/// Slots in each worker's index-metadata cache (a power of two; ~32 bytes
+/// each).
+inline constexpr size_t kIcacheEntries = 1 << 14;
+
+/// Doorbell batching: a KN worker that finds several GETs queued runs
+/// their local parts first, then fuses the surviving direct value reads
+/// into one fabric round per DPM node (Fabric::OpBatch), up to this many
+/// requests per round.
+inline constexpr int kDoorbellMaxFuse = 8;
+
 /// Configuration of one KVS node.
 struct KnOptions {
   /// Cluster-visible node id (>= 1).
@@ -68,20 +79,6 @@ struct KnOptions {
   /// fabric round. Disabled automatically under the shortcut-only policy,
   /// which models the prior-work (DINOMO-S) baseline.
   bool icache_enabled = true;
-  /// Slots in the per-worker index-metadata cache (rounded up to a power
-  /// of two; ~32 bytes each).
-  size_t icache_entries = 1 << 14;
-
-  /// Doorbell batching: a KN worker that finds several GETs queued runs
-  /// their local parts first, then fuses the surviving direct value reads
-  /// into one fabric round per DPM node (Fabric::OpBatch), up to this
-  /// many requests per round. <= 1 disables fusion.
-  int doorbell_max_fuse = 8;
-
-  /// If false, a Put/Delete that hits the unmerged-segment threshold
-  /// returns Busy instead of blocking (the virtual-time engine reschedules
-  /// it; the real-thread runtime waits on the merge callback and retries).
-  bool blocking_writes = false;
 
   /// TEST ONLY: deliberately breaks the replicated flush protocol by
   /// publishing the primary's commit marker BEFORE the mirror ack (the
@@ -202,8 +199,9 @@ inline uint64_t KeyHash(const Slice& key) {
 /// Write path (§3.6 "asynchronous post-processing"): entries accumulate in
 /// a local batch, shipped with ONE one-sided write at flush (two with a
 /// mirror), then merged into the index asynchronously by the DPM
-/// processors. Writes to replicated keys bypass the batch: log the entry,
-/// then CAS the key's indirect slot.
+/// processors. Put and Delete share one body (WriteImpl). Writes to
+/// replicated keys bypass the batch: log the entry, then CAS the key's
+/// indirect slot to it (a Delete CASes the slot empty).
 class KnWorker {
  public:
   KnWorker(const KnOptions& options, int worker_idx, dpm::DpmPool* pool);
@@ -220,9 +218,11 @@ class KnWorker {
 
   OpResult Get(const Slice& key) { return Finish(GetImpl(key)); }
   OpResult Put(const Slice& key, const Slice& value) {
-    return Finish(PutImpl(key, value));
+    return Finish(WriteImpl(dpm::LogOp::kPut, key, value));
   }
-  OpResult Delete(const Slice& key) { return Finish(DeleteImpl(key)); }
+  OpResult Delete(const Slice& key) {
+    return Finish(WriteImpl(dpm::LogOp::kDelete, key, Slice()));
+  }
 
   /// Range scan (YCSB-E): up to `scan_len` rows with key >= start_key in
   /// ascending key order, resolved against the ordered DPM index. The
@@ -258,10 +258,6 @@ class KnWorker {
   /// Flushes any buffered writes (end of a request burst). Returns the
   /// flush cost, zero if nothing was pending.
   OpResult FlushWrites();
-
-  /// True if a write would currently block on the unmerged-segment
-  /// threshold (paper §4: default 2 unmerged segments).
-  bool WriteWouldBlock() const;
 
   /// Reconfiguration support: flush writes and synchronously merge this
   /// worker's log on every alive DPM node (step 3 of §3.5). Cache intact.
@@ -315,17 +311,28 @@ class KnWorker {
     std::unique_ptr<BloomFilter> bloom;
   };
 
+  /// One DPM node's side of a placement's log stream: the segment being
+  /// filled there and the bytes of flushed batches in it.
+  struct Leg {
+    int node = -1;
+    pm::PmPtr segment = pm::kNullPmPtr;
+    size_t used = 0;
+  };
+
   /// Segments + pending batch for one (primary, mirror) placement pair.
   /// Keys of one primary can have different mirrors (the mirror is the
   /// per-range ring successor), so batches group by the *pair* — every
   /// entry in a batch replicates to the same mirror segment.
   struct WriteState {
-    pm::PmPtr segment = pm::kNullPmPtr;  // on the primary node
-    size_t segment_used = 0;             // bytes of flushed batches
-    pm::PmPtr mirror_segment = pm::kNullPmPtr;  // on the mirror node
-    size_t mirror_used = 0;
+    Leg legs[2];  // primary, mirror (node -1: unreplicated)
     dpm::LogBuilder batch;
     std::unique_ptr<BloomFilter> bloom;
+
+    int num_legs() const { return legs[1].node >= 0 ? 2 : 1; }
+    /// Bytes used in the current segments: the fuller leg's. The mirror
+    /// stream can run ahead of the primary's (a retried flush re-ships
+    /// the batch to a fresh mirror offset).
+    size_t used() const { return std::max(legs[0].used, legs[1].used); }
   };
   using PlacementKey = std::pair<int, int>;  // (primary, mirror)
 
@@ -365,24 +372,43 @@ class KnWorker {
                     DirectReadPlan* plan);
 
   // Write machinery.
-  Status EnsureSegmentsFor(WriteState* st, const dpm::DpmPlacement& pl,
-                           size_t entry_bytes);
-  Status AppendWrite(WriteState* st, const dpm::DpmPlacement& pl,
-                     dpm::LogOp op, const Slice& key, const Slice& value,
-                     uint64_t key_hash, dpm::ValuePtr* out_vp);
+  /// Gives every leg a segment with room for `entry_bytes`. When the
+  /// entry does not fit it rolls the primary (and with it the mirror):
+  /// flush the pending batch, check the unmerged-segment threshold, seal
+  /// the old segments, allocate new ones.
+  Status EnsureSegmentsFor(WriteState* st, size_t entry_bytes);
+  Status AppendWrite(WriteState* st, dpm::LogOp op, const Slice& key,
+                     const Slice& value, uint64_t key_hash,
+                     dpm::ValuePtr* out_vp);
+  /// One one-sided write, retried at once while the fabric drops it (up
+  /// to kTransientRetries attempts). `publish` sends it as a publication
+  /// point (Fabric::WritePublish: the commit marker). Returns the last
+  /// attempt's fault; `loc` is the store's source for the PM checker.
+  Status WriteRetried(net::Fabric* fabric, const char* src, pm::PmPtr dst,
+                      size_t len, bool publish = false,
+                      const pm::SourceLoc& loc = pm::SourceLoc::current());
   /// Flushes one placement's pending batch with the replicate-before-ack
   /// protocol (single-write fast path when the placement has no mirror).
-  Status FlushState(const PlacementKey& key, WriteState* st, double* cpu_us);
+  Status FlushState(WriteState* st, double* cpu_us);
   /// Flushes every placement's pending batch. Registers cached copies
   /// under batches_mu_ per placement, so the caller must not hold it.
-  Status FlushAllStates(net::OpCost* cost, double* cpu_us)
-      EXCLUDES(batches_mu_);
-  OpResult SharedWrite(const Slice& key, const Slice& value,
-                       uint64_t key_hash);
+  Status FlushAllStates(double* cpu_us) EXCLUDES(batches_mu_);
+  /// A replicated key's write: logs the entry on the key's primary and
+  /// publishes it through the key's indirect slot (a Delete empties the
+  /// slot). Sets *slot_vp to the slot on success.
+  Status SharedWrite(dpm::LogOp op, const Slice& key, const Slice& value,
+                     uint64_t key_hash, const dpm::DpmPlacement& pl,
+                     dpm::ValuePtr* slot_vp, double* cpu_us);
+  /// Updates the value cache and the icache after a successful write of
+  /// `op` whose entry (or, for replicated keys, slot) is `vp` on node `n`.
+  void NoteWritten(dpm::LogOp op, uint64_t key_hash, const Slice& value,
+                   int n, dpm::ValuePtr vp);
 
   OpResult GetImpl(const Slice& key, DirectReadPlan* plan = nullptr);
-  OpResult PutImpl(const Slice& key, const Slice& value);
-  OpResult DeleteImpl(const Slice& key);
+  /// The one body of Put and Delete: ownership check, then the batched
+  /// append (or SharedWrite for replicated keys), cache updates and the
+  /// threshold flush.
+  OpResult WriteImpl(dpm::LogOp op, const Slice& key, const Slice& value);
   OpResult ScanImpl(const Slice& start_key, uint32_t scan_len,
                     std::vector<ScanRow>* rows) EXCLUDES(batches_mu_);
   /// One DPM node's contribution to a scan: position via the cached

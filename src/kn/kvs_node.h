@@ -43,8 +43,8 @@ struct Request {
 /// of §4) and flush pending batches whenever their queue drains (group
 /// commit).
 ///
-/// The same object also serves the virtual-time engine and unit tests in
-/// "manual" mode: skip Start() and drive the workers directly.
+/// The virtual-time engine does not use this class: DinomoSim holds its
+/// KnWorkers directly and serializes their events itself.
 class KvsNode {
  public:
   KvsNode(const KnOptions& options, dpm::DpmPool* pool);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <thread>
 #include <vector>
@@ -13,6 +14,16 @@
 
 namespace dinomo {
 namespace index {
+
+class ClhtTestPeer {
+ public:
+  /// Runs `fn` on the resizing thread after each publication store of
+  /// every later resize.
+  static void OnPublish(Clht* table, std::function<void()> fn) {
+    table->publish_hook_ = std::move(fn);
+  }
+};
+
 namespace {
 
 constexpr size_t kMiB = 1024 * 1024;
@@ -186,6 +197,41 @@ TEST_F(ClhtTest, ReadersSurviveConcurrentResize) {
   reader.join();
   EXPECT_FALSE(bad.load());
   EXPECT_GT(table_->Epoch(), 1u);
+}
+
+TEST_F(ClhtTest, EveryPublicationStoreShowsACompleteTable) {
+  // Stop the resizing thread at each store that publishes the new table
+  // and look from there: every present key must be found, and an Upsert
+  // made there must land where the finished table finds it. A header whose
+  // array and size are two stores pairs the new array with the old size
+  // mask in between.
+  constexpr uint64_t kKeys = 100;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
+  }
+  const uint64_t epoch = table_->Epoch();
+  std::vector<uint64_t> inserted;
+  int stores = 0;
+  uint64_t missed = 0;
+  ClhtTestPeer::OnPublish(table_.get(), [&] {
+    stores++;
+    for (uint64_t k = 1; k <= kKeys; ++k) {
+      if (table_->Lookup(k) != Val(k)) missed++;
+    }
+    const uint64_t k = 1000 + static_cast<uint64_t>(stores);
+    ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
+    inserted.push_back(k);
+  });
+  // Inserts until one triggers a resize (the hook fires inside it).
+  for (uint64_t k = kKeys + 1; stores == 0; ++k) {
+    ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
+  }
+  ClhtTestPeer::OnPublish(table_.get(), nullptr);
+  EXPECT_EQ(stores, 2);
+  EXPECT_EQ(table_->Epoch(), epoch + 1);
+  EXPECT_EQ(missed, 0u);
+  for (uint64_t k : inserted) EXPECT_EQ(table_->Lookup(k), Val(k)) << k;
+  EXPECT_TRUE(table_->CheckConsistency().ok());
 }
 
 TEST_F(ClhtTest, RemoteLookupFindsKeys) {

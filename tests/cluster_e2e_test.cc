@@ -286,6 +286,47 @@ TEST(ClusterReconfigTest, ReplicateAndDereplicateHotKey) {
   cluster.Stop();
 }
 
+TEST(ClusterReconfigTest, DeleteOfReplicatedKeyStaysDeleted) {
+  // A replicated key's reads resolve through its indirect slot, so its
+  // Delete must go through the slot too: before the merge, after every
+  // worker's log is merged, and after the slot collapses back into the
+  // index.
+  Cluster cluster(SmallCluster(SystemVariant::kDinomo, 3));
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient();
+  ASSERT_TRUE(client->Put("hot", "v0").ok());
+  ASSERT_TRUE(cluster.ReplicateKey("hot", 3).ok());
+  ASSERT_TRUE(client->Delete("hot").ok());
+
+  auto expect_deleted = [&](const char* phase, int reads) {
+    int found = 0;
+    std::string last;
+    for (int i = 0; i < reads; ++i) {
+      auto got = client->Get("hot");
+      if (got.status().IsNotFound()) continue;
+      found++;
+      last = got.ok() ? "value " + got.value() : got.status().ToString();
+    }
+    EXPECT_EQ(found, 0) << phase << ": " << found << " of " << reads
+                        << " reads did not return NotFound (last: " << last
+                        << ")";
+  };
+  expect_deleted("before the merge", 30);
+  for (uint64_t id : cluster.ActiveKns()) {
+    cluster.kn(id)->RunOnAllWorkers(
+        [](kn::KnWorker* w) { EXPECT_TRUE(w->DrainLog().ok()); });
+  }
+  expect_deleted("after DrainLog", 30);
+  ASSERT_TRUE(cluster.DereplicateKey("hot").ok());
+  expect_deleted("after DereplicateKey", 1);
+
+  ASSERT_TRUE(client->Put("hot", "v1").ok());
+  auto got = client->Get("hot");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), "v1");
+  cluster.Stop();
+}
+
 TEST(ClusterReconfigTest, TrafficContinuesDuringAddKn) {
   Cluster cluster(SmallCluster(SystemVariant::kDinomo, 2));
   ASSERT_TRUE(cluster.Start().ok());
